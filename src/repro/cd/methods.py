@@ -31,20 +31,32 @@ def _box_check(rt: Runtime, wave: Wave, mask: np.ndarray) -> np.ndarray:
     """Exact whole-tool CHECKBOX on the masked pairs; returns (F,) bool
     (False outside the mask) and charges one box check per tested pair.
 
-    Under the v2 engine (``wave.ctx`` set) the per-pair tool frames are
-    gathered from the block's per-thread frame cache instead of being
-    rebuilt inside the kernel — the frame depends only on the thread's
-    direction, and :func:`repro.geometry.frames.frame_from_axis` is
-    elementwise per row, so gathered frames are bit-equal to recomputed
-    ones and the kernel's verdicts are unchanged.
+    On a panel level (``wave.ctx`` set) the per-pair geometry is gathered
+    from the level's panel rows and the block's per-thread frame cache
+    instead of being rebuilt inside the kernel — the frame depends only
+    on the thread's direction, and
+    :func:`repro.geometry.frames.frame_from_axis` is elementwise per row,
+    so gathered frames are bit-equal to recomputed ones and the kernel's
+    verdicts are unchanged.
     """
     out = np.zeros(wave.size, dtype=bool)
     if not mask.any():
         return out
     tool = rt.scene.tool
     ctx = wave.ctx
-    if ctx is not None and ctx.use_panels:
+    if ctx is None:
+        out[mask] = tool_aabb_batch(
+            rt.scene.pivot,
+            wave.dirs[mask],
+            wave.centers[mask],
+            wave.half,
+            tool.z0,
+            tool.z1,
+            tool.radius,
+        )
+    else:
         sel = np.flatnonzero(mask)
+        screen = True
         if ctx.want_screen_panel(len(sel)):
             # Dense mask: the sphere screen is evaluated per (node,
             # thread) cell once for the whole level; each masked pair
@@ -57,24 +69,11 @@ def _box_check(rt: Runtime, wave: Wave, mask: np.ndarray) -> np.ndarray:
             und = np.take(scr_und.reshape(-1), flat)
             und &= mask
             sel = np.flatnonzero(und)
-            if len(sel):
-                centers, dirs, frames = ctx.pair_geometry_subset(wave, sel)
-                out[sel] = tool_aabb_batch(
-                    rt.scene.pivot,
-                    dirs,
-                    centers,
-                    wave.half,
-                    tool.z0,
-                    tool.z1,
-                    tool.radius,
-                    screen=False,
-                    frames=frames,
-                    backend=rt.backend,
-                )
-        elif len(sel):
-            # Sparse mask (corner fallback, cull survivors): gather the
-            # masked pairs' geometry and run the reference per-pair
-            # kernel — the same rows through the same code path.
+            screen = False
+        # A sparse mask (corner fallback, cull survivors) skips the panel:
+        # the masked pairs' gathered geometry runs the reference per-pair
+        # kernel, screen included — the same rows through the same code.
+        if len(sel):
             centers, dirs, frames = ctx.pair_geometry_subset(wave, sel)
             out[sel] = tool_aabb_batch(
                 rt.scene.pivot,
@@ -84,25 +83,9 @@ def _box_check(rt: Runtime, wave: Wave, mask: np.ndarray) -> np.ndarray:
                 tool.z0,
                 tool.z1,
                 tool.radius,
+                screen=screen,
                 frames=frames,
-                backend=rt.backend,
             )
-        rt.counters.add_threads("box_checks", wave.threads[mask], rt.counters.n_threads)
-        return out
-    frames = None
-    if ctx is not None:
-        frames = ctx.block_frames()[wave.threads[mask] - ctx.t0]
-    out[mask] = tool_aabb_batch(
-        rt.scene.pivot,
-        wave.dirs[mask],
-        wave.centers[mask],
-        wave.half,
-        tool.z0,
-        tool.z1,
-        tool.radius,
-        frames=frames,
-        backend=rt.backend if ctx is not None else None,
-    )
     rt.counters.add_threads("box_checks", wave.threads[mask], rt.counters.n_threads)
     return out
 
@@ -144,50 +127,14 @@ class PBoxOpt:
                 tool.z1,
                 tool.radius,
             )
-        elif ctx.use_panels:
+        else:
             # Panel mode: one cull verdict per (unique node, block thread)
             # cell; every pair of the wave gathers its cell.
             flat = ctx.pair_flat()[wave.offset : wave.offset + wave.size]
             possible = np.take(ctx.cull_panel().reshape(-1), flat)
-        else:
-            possible = self._cull_v2(rt, wave, ctx)
         rt.counters.add_threads("cull_checks", wave.threads, rt.counters.n_threads)
         hit = _box_check(rt, wave, possible)
         return np.where(hit, OUT_YES, OUT_NO)
-
-    @staticmethod
-    def _cull_v2(rt: Runtime, wave: Wave, ctx) -> np.ndarray:
-        """The AABB cull against per-thread cylinder boxes hoisted per block.
-
-        The cylinder AABBs depend only on (pivot, dir), so the block
-        computes them once (``_RunCache.block_cyl_aabbs``) and each pair
-        only gathers.  A union-AABB pre-reject shrinks the per-cylinder
-        test to candidate pairs: the union box misses the voxel on some
-        axis iff *every* cylinder box misses it on that axis (the union
-        bound per axis is the min/max over cylinders), so rejected pairs
-        are exactly the pairs whose per-cylinder test is all-False — the
-        returned mask is bit-equal to ``tool_aabb_cull_batch``.
-        """
-        lo, hi, ulo, uhi = ctx.block_cyl_aabbs()
-        ws = rt.workspace
-        n = wave.size
-        rows = ws.take("pbo.rows", n, np.intp)
-        np.subtract(wave.threads, ctx.t0, out=rows)
-        blo = ws.take("pbo.blo", (n, 3))
-        np.subtract(wave.centers, wave.half, out=blo)
-        bhi = ws.take("pbo.bhi", (n, 3))
-        np.add(wave.centers, wave.half, out=bhi)
-
-        cand = ((ulo[rows] <= bhi) & (blo <= uhi[rows])).all(axis=-1)
-        possible = ws.take("pbo.possible", n, bool)
-        possible[:] = False
-        sel = np.flatnonzero(cand)
-        if len(sel):
-            rs = rows[sel]
-            possible[sel] = (
-                (lo[rs] <= bhi[sel, None, :]) & (blo[sel, None, :] <= hi[rs])
-            ).all(axis=-1).any(axis=-1)
-        return possible
 
 
 class _IcaBase:
@@ -203,9 +150,7 @@ class _IcaBase:
 
     def decide(self, rt: Runtime, wave: Wave) -> np.ndarray:
         if wave.ctx is not None:
-            if wave.ctx.use_panels:
-                return self._decide_panel(rt, wave)
-            return self._decide_v2(rt, wave)
+            return self._decide_panel(rt, wave)
         return self._decide_ref(rt, wave)
 
     def _decide_ref(self, rt: Runtime, wave: Wave) -> np.ndarray:
@@ -268,66 +213,6 @@ class _IcaBase:
             outcomes[corner & hit] = OUT_YES
         return outcomes
 
-    def _decide_v2(self, rt: Runtime, wave: Wave) -> np.ndarray:
-        """The v2 kernel: per-node quantities come from the level context.
-
-        Distances and cone bounds are gathered from
-        :class:`~repro.cd.traversal.LevelContext` (computed once per
-        (block, level) over unique nodes instead of once per pair per
-        chunk); only the genuinely per-pair dot product ``dir . rel``
-        remains in the loop, evaluated into workspace buffers.  Every
-        gathered value is bit-equal to what :meth:`_decide_ref` computes
-        in place, and counters are charged with the same per-pair masks,
-        so outcomes and counters are byte-identical.
-        """
-        scene = rt.scene
-        n_threads = rt.counters.n_threads
-        ctx = wave.ctx
-        ws = rt.workspace
-        n = wave.size
-        sl = slice(wave.offset, wave.offset + n)
-
-        dist = ctx.pair_dist()[sl]
-        rel = ws.take("ica.rel", (n, 3))
-        np.subtract(wave.centers, scene.pivot, out=rel)
-        cos_angle = ws.take("ica.cos_angle", n)
-        np.einsum("ij,ij->i", wave.dirs, rel, out=cos_angle)
-        safe = ws.take("ica.safe", n)
-        np.maximum(dist, 1e-300, out=safe)
-        np.divide(cos_angle, safe, out=cos_angle)
-        np.clip(cos_angle, -1.0, 1.0, out=cos_angle)
-        cos_angle[dist == 0.0] = 1.0
-
-        cos1_full, cos2_full, memo_stored = ctx.cos_bounds(self.use_memo)
-        cos1 = cos1_full[sl]
-        cos2 = cos2_full[sl]
-
-        if memo_stored:
-            memo = wave.idx >= 0
-        else:
-            memo = np.zeros(n, dtype=bool)
-        if memo.any():
-            rt.counters.add_threads("ica_memo_checks", wave.threads[memo], n_threads)
-        fly = ~memo
-        if fly.any():
-            rt.counters.add_threads("ica_fly_checks", wave.threads[fly], n_threads)
-
-        yes = cos_angle >= cos1
-        no = ~yes & (cos_angle <= cos2)
-        corner = ~yes & ~no
-        if corner.any():
-            rt.counters.add_threads("corner_cases", wave.threads[corner], n_threads)
-
-        outcomes = np.full(n, OUT_NO, dtype=np.uint8)
-        outcomes[yes] = OUT_YES
-
-        if self.expand_corners and wave.level < scene.tree.depth:
-            outcomes[corner] = OUT_EXPAND
-        elif corner.any():
-            hit = _box_check(rt, wave, corner)
-            outcomes[corner & hit] = OUT_YES
-        return outcomes
-
     def _decide_panel(self, rt: Runtime, wave: Wave) -> np.ndarray:
         """The panel kernel: the full (unique node x block thread) CHECKICA
         matrix is evaluated once per level and every pair gathers its cell.
@@ -335,7 +220,7 @@ class _IcaBase:
         The panel einsum accumulates ``rel . dir`` over the coordinate
         axis in the same order as the per-pair einsum, so the gathered
         cosines — and therefore outcomes — are bit-equal to
-        :meth:`_decide_v2`.  Counters are charged with the same per-pair
+        :meth:`_decide_ref`.  Counters are charged with the same per-pair
         masks in the same order (memo, fly, corner, box).
         """
         ctx = wave.ctx

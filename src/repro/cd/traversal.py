@@ -28,6 +28,7 @@ memory stays bounded at any map resolution.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -35,13 +36,6 @@ import numpy as np
 
 from repro.cd.result import CDResult
 from repro.cd.scene import Scene
-from repro.engine.backend import (
-    ArrayBackend,
-    export_backend_metrics,
-    get_backend,
-    resolve_backend,
-    resolve_setting,
-)
 from repro.engine.costs import CostModel, DEFAULT_COSTS
 from repro.engine.counters import StageBreakdown, ThreadCounters
 from repro.engine.device import DeviceSpec, GTX_1080_TI
@@ -62,7 +56,6 @@ __all__ = [
     "LevelContext",
     "run_cd",
     "resolve_engine",
-    "resolve_backend",
     "ENGINES",
     "OUT_NO",
     "OUT_YES",
@@ -74,7 +67,7 @@ OUT_YES = np.uint8(1)
 OUT_EXPAND = np.uint8(2)
 
 #: The selectable frontier engines: ``v1`` is the straight-line
-#: allocating reference implementation, ``v2`` the workspace/dedup
+#: allocating reference implementation, ``v2`` the workspace/panel
 #: engine.  Both produce byte-identical maps and counters (asserted by
 #: the equivalence suite); v1 exists as the oracle and escape hatch.
 ENGINES = ("v1", "v2")
@@ -83,19 +76,20 @@ ENGINES = ("v1", "v2")
 def resolve_engine(value: str | None = None) -> str:
     """The effective frontier engine: explicit > ``REPRO_ENGINE`` > ``v2``.
 
-    Normalization and fallback are shared with :func:`resolve_backend`
-    via :func:`repro.engine.backend.resolve_setting`: an explicit value
-    that is empty or whitespace-only defers to the environment, and an
-    invalid value raises an error naming both the config field and the
-    environment variable.
+    An explicit value that is empty or whitespace-only defers to the
+    environment, and an invalid value raises an error naming both the
+    config field and the environment variable.
     """
-    return resolve_setting(
-        value,
-        env_var="REPRO_ENGINE",
-        default="v2",
-        allowed=ENGINES,
-        field="engine",
-    )
+    if value is not None:
+        value = str(value).strip().lower()
+    if not value:
+        value = os.environ.get("REPRO_ENGINE", "").strip().lower() or "v2"
+    if value not in ENGINES:
+        raise ValueError(
+            f"engine must be one of {ENGINES}, got {value!r} "
+            "(check REPRO_ENGINE or TraversalConfig.engine)"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -118,17 +112,10 @@ class TraversalConfig:
     defaulting to 1).  Results are byte-identical for any worker count.
 
     ``engine`` picks the frontier implementation: ``"v2"`` (workspace
-    reuse + cross-pair dedup, the default) or ``"v1"`` (the allocating
-    reference path).  ``None`` defers to ``REPRO_ENGINE`` (default v2).
-    Maps and counters are byte-identical between engines — the choice
-    only affects host wall-clock time.
-
-    ``backend`` picks the array backend the v2 panel/batch kernels run
-    on (see :mod:`repro.engine.backend`); ``None`` defers to
-    ``REPRO_BACKEND`` (default ``numpy``).  The numpy backend is
-    byte-identical; non-numpy backends keep maps and counters exact
-    (boolean outcomes) while intermediate floats are tolerance-gated.
-    The v1 engine ignores the backend — it is the pure-numpy oracle.
+    frontier plus panel kernels on dense levels, the default) or
+    ``"v1"`` (the allocating reference path).  ``None`` defers to
+    ``REPRO_ENGINE`` (default v2).  Maps and counters are byte-identical
+    between engines — the choice only affects host wall-clock time.
     """
 
     start_level: int = 5
@@ -137,20 +124,20 @@ class TraversalConfig:
     max_pairs: int = 4_000_000  # frontier chunking threshold inside a block
     workers: int | None = None  # None = resolve from REPRO_WORKERS (default 1)
     engine: str | None = None  # None = resolve from REPRO_ENGINE (default v2)
-    backend: str | None = None  # None = resolve from REPRO_BACKEND (default numpy)
 
 
 @dataclass
 class Wave:
     """One frontier level's pair arrays, as seen by a method's decide().
 
-    ``ctx`` — set only by the v2 engine — is the level's shared
-    :class:`LevelContext` (per-node / per-thread data hoisted out of the
-    per-pair kernels); ``offset`` is this (sub-)wave's start within the
-    context's full-level arrays (``_decide_chunked`` slices waves, and
-    chunk ``[a:b)`` of the level maps to ``ctx`` rows ``[a:b)``).  Waves
-    built without a context (v1, direct kernel tests, the voxel-mapping
-    pricer) take the methods' reference paths.
+    ``ctx`` — set only by the v2 engine, and only on levels that run the
+    panel kernels — is the level's shared :class:`LevelContext`;
+    ``offset`` is this (sub-)wave's start within the context's
+    full-level arrays (``_decide_chunked`` slices waves, and chunk
+    ``[a:b)`` of the level maps to ``ctx`` rows ``[a:b)``).  Waves
+    without a context (v1, v2 levels that miss the panel gate, direct
+    kernel tests, the voxel-mapping pricer) carry per-pair ``centers``
+    and ``dirs`` and take the methods' reference kernels.
     """
 
     level: int
@@ -161,7 +148,7 @@ class Wave:
     centers: np.ndarray | None  # (F, 3) node centers (None in panel mode)
     half: float  # cell half-edge at `level`
     dirs: np.ndarray | None  # (F, 3) tool direction per pair (None in panel mode)
-    ctx: "LevelContext | None" = None  # v2: shared per-(block, level) data
+    ctx: "LevelContext | None" = None  # v2 panel level: shared per-(block, level) data
     offset: int = 0  # start row of this sub-wave within ctx's arrays
 
     @property
@@ -175,14 +162,11 @@ class Runtime:
 
     ``engine`` is the resolved frontier engine (see
     :func:`resolve_engine`; an explicit value wins over
-    ``config.engine`` which wins over ``REPRO_ENGINE``).  ``backend``
-    is the resolved :class:`~repro.engine.backend.ArrayBackend` the v2
-    panel/batch kernels route through (``config.backend`` >
-    ``REPRO_BACKEND`` > numpy).  Under v2, ``workspace`` is the buffer
-    arena for wave arrays and kernel temporaries (the ambient one when
-    installed, else a fresh private arena) and ``cache`` holds the
-    run's deduplicated per-node and per-thread geometry
-    (:class:`_RunCache`).
+    ``config.engine`` which wins over ``REPRO_ENGINE``).  Under v2,
+    ``workspace`` is the buffer arena for wave arrays and kernel
+    temporaries (the ambient one when installed, else a fresh private
+    arena) and ``cache`` holds the run's deduplicated per-node and
+    per-thread geometry (:class:`_RunCache`).
     """
 
     scene: Scene
@@ -195,14 +179,11 @@ class Runtime:
     engine: str | None = None
     workspace: Workspace | None = None
     cache: "_RunCache | None" = field(default=None, repr=False)
-    backend: "ArrayBackend | None" = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.all_dirs is None:
             self.all_dirs = self.grid.directions()
         self.engine = resolve_engine(self.engine or self.config.engine)
-        if not isinstance(self.backend, ArrayBackend):
-            self.backend = get_backend(self.backend or self.config.backend)
         if self.engine == "v2":
             if self.workspace is None:
                 self.workspace = get_ambient_workspace() or Workspace()
@@ -220,19 +201,17 @@ class _RunCache:
     per-pair originals, which is what keeps maps and counters
     byte-identical between engines.
 
-    Per-level node caches are built lazily and only when the requesting
-    frontier has at least as many pairs as the level has stored nodes
-    (``want``): on narrow late-level frontiers computing every stored
-    node would cost more than the v1 per-pair path, so callers fall
-    back to it (the *values* are identical either way).  Once built, a
-    cache serves every later block, chunk and level revisit for free.
+    Per-level node caches are built lazily by the first panel level that
+    needs them; the panel gate only admits frontiers at least as wide as
+    the stored level, so computing every stored node never costs more
+    than the per-pair path.  Once built, a cache serves every later
+    block, chunk and level revisit for free.
     """
 
     __slots__ = (
         "scene",
         "_centers",
         "_dist",
-        "_fly",
         "_frames",
         "_cyl",
         "_frames_t0",
@@ -243,7 +222,6 @@ class _RunCache:
         self.scene = scene
         self._centers: dict[int, np.ndarray] = {}
         self._dist: dict[int, np.ndarray] = {}
-        self._fly: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._frames: np.ndarray | None = None
         self._cyl: tuple | None = None
         self._frames_t0 = -1
@@ -251,52 +229,21 @@ class _RunCache:
 
     # -- per stored node ---------------------------------------------------
 
-    def level_centers(self, level: int, want: int) -> np.ndarray | None:
-        """Centers of every stored node at ``level`` (or None: too narrow)."""
+    def level_centers(self, level: int) -> np.ndarray:
+        """Centers of every stored node at ``level``."""
         c = self._centers.get(level)
         if c is None:
             lev = self.scene.tree.levels[level]
-            if lev.n > want:
-                return None
             c = self._centers[level] = self.scene.tree.centers_of_codes(level, lev.codes)
         return c
 
-    def level_dist(self, level: int, want: int) -> np.ndarray | None:
+    def level_dist(self, level: int) -> np.ndarray:
         """Pivot distance of every stored node at ``level`` (v1's formula)."""
         d = self._dist.get(level)
         if d is None:
-            centers = self.level_centers(level, want)
-            if centers is None:
-                return None
-            rel = centers - self.scene.pivot
+            rel = self.level_centers(level) - self.scene.pivot
             d = self._dist[level] = np.sqrt(np.einsum("ij,ij->i", rel, rel))
         return d
-
-    def level_fly_bounds(self, level: int, half: float, want: int):
-        """On-the-fly CHECKICA cone bounds for every stored node at ``level``.
-
-        Returns ``(cos_lo, cos_hi)`` — ``ica_bounds_cos`` of the
-        inscribed (``half``) and circumscribed (``sqrt(3) * half``)
-        spheres, exactly as ``_IcaBase`` computes them per unique code —
-        or None when the level is wider than ``want`` pairs.
-        """
-        b = self._fly.get(level)
-        if b is None:
-            if self.scene.tree.levels[level].n > want:
-                return None
-            dist = self.level_dist(level, want)
-            if dist is None:
-                return None
-            tool = self.scene.tool
-            n = len(dist)
-            lo, _ = ica_bounds_cos(
-                tool.z0, tool.z1, tool.radius, dist, np.full(n, half)
-            )
-            _, hi = ica_bounds_cos(
-                tool.z0, tool.z1, tool.radius, dist, np.full(n, SQRT3 * half)
-            )
-            b = self._fly[level] = (lo, hi)
-        return b
 
     # -- per thread of the current block ----------------------------------
 
@@ -339,9 +286,9 @@ class _RunCache:
 
 #: Panel-mode routing guards (see LevelContext.prepare_panels).  Pure
 #: wall-clock heuristics: both sides of the guard are bit-equal, only
-#: speed differs.  A panel pays O(U * B) where the per-pair path pays
-#: O(F); require the frontier to be non-trivial and the panel to stay
-#: within a small factor of the pair count.
+#: speed differs.  A panel pays O(U * B) where the v1 per-pair kernels
+#: pay O(F); require the frontier to be non-trivial and the panel to
+#: stay within a small factor of the pair count.
 _PANEL_MIN_PAIRS = 4096
 _PANEL_OVERSAMPLE = 2.0
 
@@ -350,10 +297,9 @@ class LevelContext:
     """Shared data of one (block, level) of the v2 engine, computed lazily.
 
     One instance spans *every* ``decide`` chunk of a frontier level, so
-    anything computed here — per-pair distances, CHECKICA cone bounds,
-    the per-thread cull boxes — is paid once per level instead of once
-    per ``max_pairs`` chunk.  All arrays are full-level (length ``F``);
-    chunked sub-waves address them through ``Wave.offset``.
+    anything computed here is paid once per level instead of once per
+    ``max_pairs`` chunk.  Pair-indexed arrays are full-level (length
+    ``F``); chunked sub-waves address them through ``Wave.offset``.
 
     Dedup keys: stored pairs use ``idx`` (the stored-node index — already
     unique per node, no sort needed); virtual pairs (``idx == -1``,
@@ -362,17 +308,18 @@ class LevelContext:
     typically small — code subset.
 
     **Panels.**  When a level's frontier is dense — the pairs cover the
-    level's unique nodes many times over — the context switches to
-    *panel* mode: the per-pair kernels' core quantities (the CHECKICA
-    cosine test, the CHECKBOX screening distance, the optimized-PBox
-    cull verdict) are evaluated on a ``(unique node, block thread)``
-    matrix once per level and each pair merely gathers its ``(node,
-    thread)`` cell.  Every matrix element is produced by exactly the
-    per-pair formula (elementwise ops and order-preserving ``einsum``
-    contractions), so gathered values are bit-equal to the reference
-    kernels' and outcomes/counters stay byte-identical.  Panel mode is a
-    pure routing decision (``_PANEL_*`` guards) between two bit-equal
-    computations, so the thresholds are free to be tuned.
+    level's unique nodes many times over — the kernels' core quantities
+    (the CHECKICA cosine test, the CHECKBOX screening distance, the
+    optimized-PBox cull verdict) are evaluated on a ``(unique node,
+    block thread)`` matrix once per level and each pair merely gathers
+    its ``(node, thread)`` cell.  Every matrix element is produced by
+    exactly the per-pair formula (elementwise ops and order-preserving
+    ``einsum`` contractions), so gathered values are bit-equal to the
+    reference kernels' and outcomes/counters stay byte-identical.  A
+    level that misses the panel gate (``_PANEL_*`` guards) runs the v1
+    reference kernels instead; the gate is a pure routing decision
+    between two bit-equal computations, so the thresholds are free to
+    be tuned.
     """
 
     __slots__ = (
@@ -384,18 +331,9 @@ class LevelContext:
         "threads",
         "codes",
         "idx",
-        "status",
-        "centers",
-        "n_stored",
         "_vsel",
         "_vuq",
         "_vinv",
-        "_vcenters",
-        "_vdist",
-        "_dist",
-        "_bounds",
-        "_dense",
-        "_use_panels",
         "_uloc",
         "_urows",
         "_n_us",
@@ -407,7 +345,7 @@ class LevelContext:
         "_cullmat",
     )
 
-    def __init__(self, rt, level, half, t0, t1, threads, codes, idx, status):
+    def __init__(self, rt, level, half, t0, t1, threads, codes, idx):
         self.rt = rt
         self.level = level
         self.half = half
@@ -416,17 +354,9 @@ class LevelContext:
         self.threads = threads
         self.codes = codes
         self.idx = idx
-        self.status = status
-        self.centers = None
         self._vsel = None
         self._vuq = None
         self._vinv = None
-        self._vcenters = None
-        self._vdist = None
-        self._dist = None
-        self._bounds = None
-        self._dense = False
-        self._use_panels = None
         self._uloc = None
         self._urows = None
         self._n_us = 0
@@ -452,228 +382,53 @@ class LevelContext:
                 self._vinv = np.zeros(0, dtype=np.intp)
         return self._vsel, self._vuq, self._vinv
 
-    def _virtual_dist(self) -> np.ndarray:
-        """Pivot distance per unique virtual node (v1's per-pair formula)."""
-        if self._vdist is None:
-            if self._vcenters is None:
-                _, vuq, _ = self._virtual()
-                self._vcenters = self.rt.scene.tree.centers_of_codes(self.level, vuq)
-            rel = self._vcenters - self.rt.scene.pivot
-            self._vdist = np.sqrt(np.einsum("ij,ij->i", rel, rel))
-        return self._vdist
-
-    # -- per-pair arrays (full level) --------------------------------------
-
-    def build_centers(self) -> np.ndarray:
-        """The level's (F, 3) centers, deduplicated per node when dense.
-
-        Dense path: gather the stored-node center cache through ``idx``
-        and patch virtual rows from their unique codes.  Narrow path
-        (frontier smaller than the stored level): per-pair decode,
-        exactly the v1 expression.  Either way every row equals
-        ``centers_of_codes(level, codes)`` bit-for-bit.
-        """
-        rt = self.rt
-        tree = rt.scene.tree
-        F = len(self.codes)
-        out = rt.workspace.take("wave.centers", (F, 3))
-        vsel, vuq, vinv = self._virtual()
-        self.n_stored = F - len(vsel)
-        lev_centers = (
-            rt.cache.level_centers(self.level, self.n_stored) if self.n_stored else None
-        )
-        if self.n_stored and lev_centers is None:
-            # Narrow mixed frontier: per-pair decode, the v1 expression.
-            out[:] = tree.centers_of_codes(self.level, self.codes)
-        else:
-            self._dense = True
-            if self.n_stored:
-                # idx == -1 rows read a garbage (last) row; patched below.
-                np.take(lev_centers, self.idx, axis=0, out=out)
-            if len(vsel):
-                self._vcenters = tree.centers_of_codes(self.level, vuq)
-                out[vsel] = self._vcenters[vinv]
-        self.centers = out
-        return out
-
-    def pair_dist(self) -> np.ndarray:
-        """(F,) pivot distances per pair (lazy; v1's formula per node).
-
-        The dense path is pure gathering (host); the narrow per-pair
-        compute routes through the array backend — on numpy it is the
-        untouched in-place einsum, elsewhere the portable pairwise dot.
-        """
-        if self._dist is None:
-            rt = self.rt
-            bk = rt.backend
-            F = len(self.codes)
-            d = rt.workspace.take("ctx.dist", F)
-            if self._dense:
-                if self.n_stored:
-                    # level_centers exists (dense), so this always builds.
-                    lev_dist = rt.cache.level_dist(self.level, self.n_stored)
-                    np.take(lev_dist, self.idx, out=d)
-                vsel, _, vinv = self._virtual()
-                if len(vsel):
-                    d[vsel] = self._virtual_dist()[vinv]
-            elif bk.is_numpy:
-                bk.count_kernel()
-                rel = rt.workspace.take("ctx.rel", (F, 3))
-                np.subtract(self.centers, rt.scene.pivot, out=rel)
-                np.einsum("ij,ij->i", rel, rel, out=d)
-                np.sqrt(d, out=d)
-            else:
-                bk.count_kernel()
-                xp = bk.xp
-                rel = bk.to_device(self.centers) - bk.to_device(rt.scene.pivot)
-                d[:] = bk.to_host(xp.sqrt(bk.dot3(rel, rel)))
-            self._dist = d
-        return self._dist
-
-    def cos_bounds(self, use_memo: bool):
-        """(F,) CHECKICA cone bounds per pair, plus the memo applicability.
-
-        Returns ``(cos1, cos2, memo_stored)`` where ``memo_stored`` says
-        whether stored pairs at this level read the stage-1 table (in
-        which case their bounds come from ``table.lookup`` and only
-        virtual pairs carry on-the-fly bounds).  Computed once per
-        (block, level); every ``decide`` chunk slices it.
-
-        The bounds themselves are *stage-1 precompute* work — table
-        lookups, unique-code dedup, and the sort-heavy
-        :func:`~repro.ica.cone.ica_bounds_cos` — so like the MICA table
-        they stay on the host under every backend; the seam charges the
-        invocation and downstream panel kernels stage the resulting
-        per-row bounds to the device.
-        """
-        if self._bounds is None:
-            rt = self.rt
-            rt.backend.count_kernel()
-            tool = rt.scene.tool
-            F = len(self.codes)
-            ws = rt.workspace
-            cos1 = ws.take("ctx.cos1", F)
-            cos2 = ws.take("ctx.cos2", F)
-            table = rt.table
-            memo_stored = bool(
-                use_memo and table is not None and table.has_level(self.level)
-            )
-            vsel, vuq, vinv = self._virtual()
-            if memo_stored:
-                ssel = np.flatnonzero(self.idx >= 0)
-                if len(ssel):
-                    c1, c2 = table.lookup(self.level, self.idx[ssel])
-                    cos1[ssel] = c1
-                    cos2[ssel] = c2
-                if len(vsel):
-                    self._fill_virtual_bounds(cos1, cos2, vsel, vuq, vinv)
-            elif self._dense and self.n_stored == 0:
-                # All-virtual wave: the unique-code dedup already happened.
-                self._fill_virtual_bounds(cos1, cos2, vsel, vuq, vinv)
-            else:
-                fly_bounds = (
-                    rt.cache.level_fly_bounds(self.level, self.half, self.n_stored)
-                    if self._dense
-                    else None
-                )
-                if fly_bounds is not None:
-                    lo, hi = fly_bounds
-                    np.take(lo, self.idx, out=cos1)
-                    np.take(hi, self.idx, out=cos2)
-                    if len(vsel):
-                        self._fill_virtual_bounds(cos1, cos2, vsel, vuq, vinv)
-                else:
-                    # Narrow frontier: v1's unique-by-code dedup over the
-                    # whole (stored + virtual) wave in one pass.
-                    uniq, inverse = np.unique(self.codes, return_inverse=True)
-                    first = np.zeros(len(uniq), dtype=np.intp)
-                    first[inverse[::-1]] = np.arange(F, dtype=np.intp)[::-1]
-                    du = self.pair_dist()[first]
-                    lo, _ = ica_bounds_cos(
-                        tool.z0, tool.z1, tool.radius, du, np.full(len(uniq), self.half)
-                    )
-                    _, hi = ica_bounds_cos(
-                        tool.z0,
-                        tool.z1,
-                        tool.radius,
-                        du,
-                        np.full(len(uniq), SQRT3 * self.half),
-                    )
-                    cos1[:] = lo[inverse]
-                    cos2[:] = hi[inverse]
-            self._bounds = (cos1, cos2, memo_stored)
-        return self._bounds
-
-    def _fill_virtual_bounds(self, cos1, cos2, vsel, vuq, vinv) -> None:
-        """On-the-fly bounds for the unique virtual nodes, scattered back."""
-        tool = self.rt.scene.tool
-        du = self._virtual_dist()
-        n = len(vuq)
-        lo, _ = ica_bounds_cos(
-            tool.z0, tool.z1, tool.radius, du, np.full(n, self.half)
-        )
-        _, hi = ica_bounds_cos(
-            tool.z0, tool.z1, tool.radius, du, np.full(n, SQRT3 * self.half)
-        )
-        cos1[vsel] = lo[vinv]
-        cos2[vsel] = hi[vinv]
-
     # -- panels: (unique node x block thread) matrices ----------------------
 
-    @property
-    def use_panels(self) -> bool:
-        return bool(self._use_panels)
-
     def prepare_panels(self) -> bool:
-        """Decide (once) whether this level runs on the panel fast path.
+        """Decide whether this level runs on the panel fast path.
 
         Builds the pair -> panel-row map with a presence/cumsum
         compaction over the stored level (no sort): stored pairs map
         through ``idx``, virtual pairs append their unique codes as
-        extra rows.  Eligibility: the frontier is at least as wide as
-        the stored level (so the per-node side deduplicates) and the
-        panel is not much larger than the pair count (so the per-thread
-        side does not overshoot the per-pair cost).
+        extra rows.  Eligibility: the frontier is non-trivial
+        (``_PANEL_MIN_PAIRS``), at least as wide as the stored level (so
+        the per-node side deduplicates), and the panel is not much
+        larger than the pair count (so the per-thread side does not
+        overshoot the per-pair cost).
         """
-        if self._use_panels is not None:
-            return self._use_panels
         rt = self.rt
         F = len(self.codes)
         lev_n = rt.scene.tree.levels[self.level].n
         B = self.t1 - self.t0
-        ok = False
-        if F >= _PANEL_MIN_PAIRS and lev_n <= F:
-            vsel, vuq, vinv = self._virtual()
-            self.n_stored = F - len(vsel)
-            ws = rt.workspace
-            # Length n+1: scattering through idx sends the virtual rows'
-            # -1 into the sentinel slot instead of a real node.
-            presence = ws.take("panel.presence", lev_n + 1, bool)
-            presence[:] = False
-            presence[self.idx] = True
-            presence = presence[:lev_n]
-            nus = 0
-            rowmap = None
-            if lev_n:
-                rowmap = ws.take("panel.rowmap", lev_n, np.intp)
-                np.cumsum(presence, out=rowmap)
-                nus = int(rowmap[-1])
-                np.subtract(rowmap, 1, out=rowmap)
-            U = nus + len(vuq)
-            if U * B <= _PANEL_OVERSAMPLE * F:
-                u_loc = ws.take("panel.u_loc", F, np.intp)
-                if nus:
-                    # Virtual rows read a garbage entry; patched below.
-                    np.take(rowmap, self.idx, out=u_loc)
-                if len(vsel):
-                    u_loc[vsel] = nus + vinv
-                self._urows = np.flatnonzero(presence)
-                self._uloc = u_loc
-                self._n_us = nus
-                self._dense = True
-                ok = True
-        self._use_panels = ok
-        return ok
+        if F < _PANEL_MIN_PAIRS or lev_n > F:
+            return False
+        vsel, vuq, vinv = self._virtual()
+        ws = rt.workspace
+        # Length n+1: scattering through idx sends the virtual rows'
+        # -1 into the sentinel slot instead of a real node.
+        presence = ws.take("panel.presence", lev_n + 1, bool)
+        presence[:] = False
+        presence[self.idx] = True
+        presence = presence[:lev_n]
+        nus = 0
+        rowmap = None
+        if lev_n:
+            rowmap = ws.take("panel.rowmap", lev_n, np.intp)
+            np.cumsum(presence, out=rowmap)
+            nus = int(rowmap[-1])
+            np.subtract(rowmap, 1, out=rowmap)
+        if (nus + len(vuq)) * B > _PANEL_OVERSAMPLE * F:
+            return False
+        u_loc = ws.take("panel.u_loc", F, np.intp)
+        if nus:
+            # Virtual rows read a garbage entry; patched below.
+            np.take(rowmap, self.idx, out=u_loc)
+        if len(vsel):
+            u_loc[vsel] = nus + vinv
+        self._urows = np.flatnonzero(presence)
+        self._uloc = u_loc
+        self._n_us = nus
+        return True
 
     def pair_flat(self) -> np.ndarray:
         """(F,) flat ``row * B + thread_col`` index of each pair's panel cell."""
@@ -698,23 +453,22 @@ class LevelContext:
         """
         if self._pnodes is None:
             rt = self.rt
-            F = len(self.codes)
-            vsel, vuq, vinv = self._virtual()
+            _, vuq, _ = self._virtual()
             nus = self._n_us
             U = nus + len(vuq)
             ws = rt.workspace
             centers_w = ws.take("panel.centers", (U, 3))
             dist_w = ws.take("panel.dist", U)
             if nus:
-                lev_centers = rt.cache.level_centers(self.level, F)
-                lev_dist = rt.cache.level_dist(self.level, F)
+                lev_centers = rt.cache.level_centers(self.level)
+                lev_dist = rt.cache.level_dist(self.level)
                 np.take(lev_centers, self._urows, axis=0, out=centers_w[:nus])
                 np.take(lev_dist, self._urows, out=dist_w[:nus])
             if len(vuq):
-                if self._vcenters is None:
-                    self._vcenters = rt.scene.tree.centers_of_codes(self.level, vuq)
-                centers_w[nus:] = self._vcenters
-                dist_w[nus:] = self._virtual_dist()
+                vcenters = rt.scene.tree.centers_of_codes(self.level, vuq)
+                centers_w[nus:] = vcenters
+                vrel = vcenters - rt.scene.pivot
+                dist_w[nus:] = np.sqrt(np.einsum("ij,ij->i", vrel, vrel))
             rel_w = ws.take("panel.rel", (U, 3))
             np.subtract(centers_w, rt.scene.pivot, out=rel_w)
             self._pnodes = (centers_w, rel_w, dist_w)
@@ -777,13 +531,6 @@ class LevelContext:
         """
         if self._ica_panel is None:
             rt = self.rt
-            bk = rt.backend
-            bk.count_kernel()
-            if not bk.is_numpy:
-                self._ica_panel = self._ica_outcome_panel_xp(
-                    bk, use_memo, expand_corners
-                )
-                return self._ica_panel
             ws = rt.workspace
             _, rel_w, dist_w = self._panel_nodes()
             U = len(dist_w)
@@ -811,42 +558,6 @@ class LevelContext:
             self._ica_panel = (out_mat, corner, memo_stored)
         return self._ica_panel
 
-    def _ica_outcome_panel_xp(self, bk, use_memo: bool, expand_corners: bool):
-        """Portable (Array-API) twin of the CHECKICA panel kernel.
-
-        Node geometry and cone bounds are stage-1 host products; they
-        stage to the device, the dense (U, B) compute runs in ``xp``,
-        and the boolean/uint8 outcome matrices come back to the host
-        for the per-pair gathers.  The pairwise ``outer_dot3`` keeps a
-        numpy-backed namespace bit-equal to the einsum reference, and
-        every downstream quantity is a threshold comparison, so
-        outcomes — and counters — stay exact (the backend contract).
-        """
-        rt = self.rt
-        xp = bk.xp
-        _, rel_w, dist_w = self._panel_nodes()
-        cos1_w, cos2_w, memo_stored = self._panel_bounds(use_memo)
-        dirs = rt.all_dirs[self.t0 : self.t1]
-        rel_d = bk.to_device(rel_w)
-        dirs_d = bk.to_device(dirs)
-        dist_d = bk.to_device(dist_w)
-        cos = bk.outer_dot3(rel_d, dirs_d)
-        safe = xp.maximum(dist_d, xp.asarray(1e-300, dtype=xp.float64))
-        cos = xp.clip(cos / safe[:, None], -1.0, 1.0)
-        cos = xp.where(
-            (dist_d == 0.0)[:, None], xp.asarray(1.0, dtype=xp.float64), cos
-        )
-        yes = cos >= bk.to_device(cos1_w)[:, None]
-        corner_d = xp.logical_not(
-            xp.logical_or(yes, cos <= bk.to_device(cos2_w)[:, None])
-        )
-        out_d = xp.astype(yes, xp.uint8)
-        if expand_corners and self.level < rt.scene.tree.depth:
-            out_d = xp.where(corner_d, xp.asarray(2, dtype=xp.uint8), out_d)
-        out_mat = np.ascontiguousarray(bk.to_host(out_d))
-        corner = np.ascontiguousarray(bk.to_host(corner_d))
-        return out_mat, corner, memo_stored
-
     def box_screen_panel(self):
         """CHECKBOX sphere-screen verdicts per panel cell.
 
@@ -859,11 +570,6 @@ class LevelContext:
             from repro.geometry.batch import tool_point_distance_2d
 
             rt = self.rt
-            bk = rt.backend
-            bk.count_kernel()
-            if not bk.is_numpy:
-                self._screen = self._box_screen_panel_xp(bk)
-                return self._screen
             ws = rt.workspace
             tool = rt.scene.tool
             _, rel_w, dist_w = self._panel_nodes()
@@ -895,39 +601,6 @@ class LevelContext:
             self._screen = (hit, und)
         return self._screen
 
-    def _box_screen_panel_xp(self, bk):
-        """Portable twin of the CHECKBOX sphere-screen panel.
-
-        Same staging story as the CHECKICA twin; the screen thresholds
-        (inscribed/circumscribed radii of the level's cube) are host
-        scalars computed with the reference's exact reductions.
-        """
-        from repro.geometry.batch import tool_point_distance_2d_xp
-
-        rt = self.rt
-        xp = bk.xp
-        tool = rt.scene.tool
-        _, rel_w, dist_w = self._panel_nodes()
-        dirs = rt.all_dirs[self.t0 : self.t1]
-        rel_d = bk.to_device(rel_w)
-        dirs_d = bk.to_device(dirs)
-        axial = bk.outer_dot3(rel_d, dirs_d)
-        rr = bk.dot3(rel_d, rel_d)
-        radial = xp.sqrt(
-            xp.maximum(rr[:, None] - axial * axial, xp.asarray(0.0, dtype=xp.float64))
-        )
-        d2d = tool_point_distance_2d_xp(
-            bk, tool.z0, tool.z1, tool.radius, axial, radial
-        )
-        h3 = np.array([[self.half, self.half, self.half]])
-        r_in = float(h3.min(axis=1)[0])
-        r_circ = float(np.sqrt(np.einsum("ij,ij->i", h3, h3))[0])
-        hit_d = d2d <= r_in
-        und_d = xp.logical_and(d2d <= r_circ, xp.logical_not(hit_d))
-        hit = np.ascontiguousarray(bk.to_host(hit_d))
-        und = np.ascontiguousarray(bk.to_host(und_d))
-        return hit, und
-
     def want_screen_panel(self, n_masked: int) -> bool:
         """Whether the CHECKBOX screen should run on the whole panel.
 
@@ -953,11 +626,6 @@ class LevelContext:
         """
         if self._cullmat is None:
             rt = self.rt
-            bk = rt.backend
-            bk.count_kernel()
-            if not bk.is_numpy:
-                self._cullmat = self._cull_panel_xp(bk)
-                return self._cullmat
             ws = rt.workspace
             lo, hi, ulo, uhi = self.block_cyl_aabbs()
             centers_w, _, _ = self._panel_nodes()
@@ -980,54 +648,12 @@ class LevelContext:
             self._cullmat = possible
         return self._cullmat
 
-    def _cull_panel_xp(self, bk) -> np.ndarray:
-        """Portable twin of the cull panel.
-
-        The scatter-compacted candidate pass of the numpy path needs
-        integer fancy indexing, which the Array API does not guarantee;
-        instead the per-cylinder overlap accumulates over the (small)
-        cylinder axis with dense (U, B) slabs, AND-ed with the same
-        union-box pre-reject.  Every element is the same comparison of
-        the same floats, so the verdict matrix is identical.
-        """
-        rt = self.rt
-        xp = bk.xp
-        lo, hi, ulo, uhi = self.block_cyl_aabbs()
-        centers_w, _, _ = self._panel_nodes()
-        centers_d = bk.to_device(centers_w)
-        blo = centers_d - self.half
-        bhi = centers_d + self.half
-        ulo_d = bk.to_device(ulo)
-        uhi_d = bk.to_device(uhi)
-        cand = xp.all(
-            xp.logical_and(
-                ulo_d[None, :, :] <= bhi[:, None, :],
-                blo[:, None, :] <= uhi_d[None, :, :],
-            ),
-            axis=-1,
-        )
-        lo_d = bk.to_device(lo)  # (B, C, 3)
-        hi_d = bk.to_device(hi)
-        n_cyl = lo.shape[1]
-        possible = None
-        for c in range(n_cyl):
-            over_c = xp.all(
-                xp.logical_and(
-                    lo_d[None, :, c, :] <= bhi[:, None, :],
-                    blo[:, None, :] <= hi_d[None, :, c, :],
-                ),
-                axis=-1,
-            )
-            possible = over_c if possible is None else xp.logical_or(possible, over_c)
-        possible = xp.logical_and(possible, cand)
-        return np.ascontiguousarray(bk.to_host(possible))
-
     def pair_geometry_subset(self, wave, sel: np.ndarray):
         """``(centers, dirs, frames)`` of sub-wave rows ``sel`` (gathers only).
 
         Used by the panel-mode CHECKBOX fallback, where full per-pair
         centers/dirs were never materialized; the gathered rows are
-        bit-equal to what the eager path would have sliced.
+        bit-equal to what the reference path would have sliced.
         """
         g = wave.offset + sel
         centers_w, _, _ = self._panel_nodes()
@@ -1050,15 +676,10 @@ class LevelContext:
     # -- observability ------------------------------------------------------
 
     def dedup_stats(self) -> tuple[int, float]:
-        """(unique nodes, pairs-per-unique-node ratio) — tracing only."""
-        vsel, vuq, _ = self._virtual()
-        if self._use_panels:
-            n_uniq = self._n_us + len(vuq)
-        else:
-            stored_idx = self.idx[self.idx >= 0]
-            n_uniq = len(np.unique(stored_idx)) + len(vuq)
-        F = len(self.codes)
-        return n_uniq, round(F / max(n_uniq, 1), 2)
+        """(unique panel rows, pairs-per-row ratio) — tracing only."""
+        _, vuq, _ = self._virtual()
+        n_uniq = self._n_us + len(vuq)
+        return n_uniq, round(len(self.codes) / max(n_uniq, 1), 2)
 
 
 def _ranges(counts: np.ndarray) -> np.ndarray:
@@ -1304,32 +925,27 @@ def _traverse_range(
         level = L0
         while len(threads):
             with tracer.span("cd.level", level=level, pairs=len(threads)) as lsp:
+                half = tree.cell_half(level)
+                ctx = None
                 if v2:
-                    ctx = LevelContext(
-                        rt, level, tree.cell_half(level), t0, t1,
-                        threads, codes, idx, status,
-                    )
-                    if ctx.prepare_panels():
-                        # Panel mode: kernels read (node x thread)
-                        # matrices; per-pair centers/dirs are gathered
-                        # on demand for the (rare) exact fallbacks.
-                        centers = None
-                        dirs = None
-                    else:
-                        centers = ctx.build_centers()
-                        dirs = ws.take("wave.dirs", (len(threads), 3))
-                        np.take(rt.all_dirs, threads, axis=0, out=dirs)
+                    ctx = LevelContext(rt, level, half, t0, t1, threads, codes, idx)
+                    if not ctx.prepare_panels():
+                        ctx = None
                     if tracer.enabled:
-                        n_uniq, ratio = ctx.dedup_stats()
-                        lsp.set(
-                            unique_nodes=n_uniq,
-                            dedup_ratio=ratio,
-                            panel=ctx.use_panels,
-                        )
-                else:
-                    ctx = None
+                        if ctx is not None:
+                            n_uniq, ratio = ctx.dedup_stats()
+                            lsp.set(unique_nodes=n_uniq, dedup_ratio=ratio)
+                        lsp.set(panel=ctx is not None)
+                if ctx is None:
+                    # v1, and v2 levels that miss the panel gate: the
+                    # reference kernels on per-pair centers and dirs.
                     centers = tree.centers_of_codes(level, codes)
                     dirs = rt.all_dirs[threads]
+                else:
+                    # Panel mode: kernels read (node x thread) matrices;
+                    # per-pair geometry is gathered on demand for the
+                    # (rare) exact fallbacks.
+                    centers = dirs = None
                 wave = Wave(
                     level=level,
                     threads=threads,
@@ -1337,7 +953,7 @@ def _traverse_range(
                     idx=idx,
                     status=status,
                     centers=centers,
-                    half=tree.cell_half(level),
+                    half=half,
                     dirs=dirs,
                     ctx=ctx,
                 )
@@ -1481,11 +1097,10 @@ def run_cd(
     if table is not None and getattr(method, "needs_table", False):
         _check_table(table, scene, config)
     engine = resolve_engine(config.engine)
-    backend = resolve_backend(config.backend)
-    if config.engine != engine or config.backend != backend:
-        # Pin the resolved engine/backend into the config so pool workers
-        # (which may not share this process's environment) inherit them.
-        config = replace(config, engine=engine, backend=backend)
+    if config.engine != engine:
+        # Pin the resolved engine into the config so pool workers (which
+        # may not share this process's environment) inherit it.
+        config = replace(config, engine=engine)
     n_workers = resolve_workers(workers if workers is not None else config.workers)
     if n_workers > 1 and grid.size > 1:
         return run_cd_parallel(
@@ -1500,7 +1115,6 @@ def run_cd(
     counters = ThreadCounters(n_threads=M, n_cyl=scene.n_cylinders)
     rt = Runtime(scene=scene, grid=grid, counters=counters, costs=costs, config=config)
     ws_before = rt.workspace.stats() if rt.workspace is not None else None
-    bk_before = rt.backend.stats()
 
     with tracer.span("cd.run", method=method.name, orientations=M) as run_sp:
         table_entries = 0
@@ -1535,7 +1149,6 @@ def run_cd(
             export_workspace_metrics(
                 get_metrics(), rt.workspace.stats_since(ws_before)
             )
-        export_backend_metrics(get_metrics(), rt.backend.stats_since(bk_before))
 
         return _finalize_run(
             scene, grid, method,

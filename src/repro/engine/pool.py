@@ -41,7 +41,6 @@ from multiprocessing import get_all_start_methods, get_context, shared_memory
 
 import numpy as np
 
-from repro.engine.backend import export_backend_metrics
 from repro.engine.workspace import Workspace, export_workspace_metrics, use_workspace
 from repro.geometry.aabb import AABB
 from repro.ica.table import IcaTable
@@ -401,7 +400,6 @@ def _cd_block_task(job: dict) -> dict:
             config=config,
             table=table if getattr(method, "needs_table", False) else None,
         )
-        bk_before = rt.backend.stats()
         L0, base_codes, base_idx, base_status = initial_frontier(
             scene, config.start_level
         )
@@ -425,7 +423,6 @@ def _cd_block_task(job: dict) -> dict:
         "busy_s": time.perf_counter() - busy_t0,
         "max_rss_bytes": peak_rss_bytes(),
         "workspace": ws.stats_since(ws_before),
-        "backend": rt.backend.stats_since(bk_before),
     }
 
 
@@ -575,10 +572,6 @@ def run_cd_parallel(
                 # Worker arenas persist per process; report the largest
                 # single arena as the held-bytes level and sum the deltas.
                 ws_agg = {"bytes_held": 0, "grow_events": 0, "reuse_hits": 0}
-                bk_agg = {
-                    "kernel_calls": 0, "h2d_bytes": 0, "d2h_bytes": 0,
-                    "sync_points": 0,
-                }
                 for k, payload in enumerate(payloads):
                     a, b = payload["t0"], payload["t1"]
                     collides[a:b] = payload["collides"]
@@ -593,10 +586,6 @@ def run_cd_parallel(
                         )
                         ws_agg["grow_events"] += wstats.get("grow_events", 0)
                         ws_agg["reuse_hits"] += wstats.get("reuse_hits", 0)
-                    bstats = payload.get("backend")
-                    if bstats:
-                        for key in bk_agg:
-                            bk_agg[key] += bstats.get(key, 0)
                     stats.add_sample(k, payload)
                     if tracer.enabled:
                         tracer.absorb(
@@ -610,9 +599,6 @@ def run_cd_parallel(
                 stats.export(get_metrics(), wall_s=pool_wall)
                 export_workspace_metrics(
                     get_metrics(), ws_agg, prefix="engine.pool.workspace"
-                )
-                export_backend_metrics(
-                    get_metrics(), bk_agg, prefix="engine.pool.backend"
                 )
         finally:
             if own_arena:

@@ -211,6 +211,10 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
     """
 
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: a response goes out as two writes (headers, body),
+    #: and on a keep-alive connection Nagle's algorithm would hold the
+    #: body back until the client's delayed ACK of the headers (~40 ms).
+    disable_nagle_algorithm = True
 
     #: Routes that get their own error-counter label; others are "other".
     known_routes: frozenset = frozenset()

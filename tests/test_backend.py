@@ -1,98 +1,17 @@
-"""The array-backend seam: selection, staging discipline, equivalence.
+"""Kernel selection: ``REPRO_ENGINE`` is the one process-wide switch.
 
-The backend contract under test has two halves.  For the ``numpy``
-backend the kernels must be *untouched* — zero staging, zero copies,
-byte-identical everything.  For every other backend the float
-comparisons relax to allclose but maps and per-thread counters stay
-exact, because they are boolean outcomes of identical comparisons; the
-``numpy_portable`` backend (numpy namespace driven through the portable
-code paths) makes that claim testable without installing anything.
+There is no separate array-backend setting; numpy runs every kernel, and
+the engine switch picks between the v1 reference kernels and the v2
+workspace-frontier + panel kernels.
 """
 
-import numpy as np
 import pytest
-
-import repro.cd.traversal as trav
-from repro.cd.methods import METHODS
-from repro.cd.traversal import TraversalConfig, resolve_backend, run_cd
-from repro.engine.backend import (
-    BACKEND_NAMES,
-    ArrayBackend,
-    BackendUnavailable,
-    available_backends,
-    export_backend_metrics,
-    get_backend,
-)
-from repro.engine.counters import ThreadCounters
-from repro.geometry.batch import (
-    _clip_slab_batch,
-    _clip_slab_batch_xp,
-    tool_aabb_batch,
-    tool_aabb_cull_batch,
-    tool_point_distance_2d,
-    tool_point_distance_2d_xp,
-)
-from repro.geometry.orientation import OrientationGrid
-from repro.obs.metrics import MetricsRegistry, use_metrics
-
-GRID = OrientationGrid.square(6)
-METHOD_NAMES = [cls.name for cls in METHODS]
-
-# Backends that must be equivalence-tested on this host: numpy_portable
-# always (it is numpy driven through the portable paths), plus any
-# optional conformance backend that happens to be installed.
-EQUIV_BACKENDS = [n for n in available_backends() if n != "numpy"]
-
-
-def _assert_identical(a, b, label: str) -> None:
-    np.testing.assert_array_equal(
-        a.collides, b.collides, err_msg=f"{label}: maps differ"
-    )
-    for f in ThreadCounters.COUNTER_FIELDS:
-        np.testing.assert_array_equal(
-            getattr(a.counters, f),
-            getattr(b.counters, f),
-            err_msg=f"{label}: counter {f} differs",
-        )
-
-
-# ---------------------------------------------------------------------------
-# Selection and validation
-# ---------------------------------------------------------------------------
 
 
 class TestResolveBackend:
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert resolve_backend() == "numpy"
-        assert resolve_backend(None) == "numpy"
-        assert resolve_backend("") == "numpy"
-        assert resolve_backend("   ") == "numpy"
-
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy_portable")
-        assert resolve_backend("numpy") == "numpy"
-
-    def test_env_fallback_and_normalization(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", " NUMPY_portable ")
-        assert resolve_backend() == "numpy_portable"
-        # A whitespace-only config value defers to the env, same as None
-        # (the regression fixed for resolve_engine in the same PR).
-        assert resolve_backend("   ") == "numpy_portable"
-
-    def test_error_names_field_and_env_var(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        with pytest.raises(ValueError, match="REPRO_BACKEND"):
-            resolve_backend("bogus")
-        with pytest.raises(ValueError, match="TraversalConfig.backend"):
-            resolve_backend("bogus")
-        monkeypatch.setenv("REPRO_BACKEND", "bogus")
-        with pytest.raises(ValueError, match="REPRO_BACKEND"):
-            resolve_backend()
-
     def test_engine_whitespace_defers_to_env(self, monkeypatch):
-        # The satellite fix: a whitespace-only engine used to bypass the
-        # env fallback and then fail validation.
+        # A whitespace-only engine used to bypass the env fallback and
+        # then fail validation.
         from repro.cd.traversal import resolve_engine
 
         monkeypatch.setenv("REPRO_ENGINE", "v1")
@@ -101,310 +20,3 @@ class TestResolveBackend:
         assert resolve_engine("   ") == "v2"
         with pytest.raises(ValueError, match="REPRO_ENGINE"):
             resolve_engine("v3")
-
-
-class TestRegistry:
-    def test_numpy_backends_always_available(self):
-        avail = available_backends()
-        assert "numpy" in avail and "numpy_portable" in avail
-        assert set(avail) <= set(BACKEND_NAMES)
-
-    def test_get_backend_caches_per_name(self):
-        assert get_backend("numpy") is get_backend("numpy")
-        assert get_backend("numpy") is not get_backend("numpy_portable")
-
-    def test_unavailable_backend_raises(self):
-        for name in BACKEND_NAMES:
-            if name in available_backends():
-                continue
-            with pytest.raises(BackendUnavailable):
-                get_backend(name)
-
-    def test_flags(self):
-        bk = get_backend("numpy")
-        assert bk.is_numpy and bk.has_einsum
-        bkp = get_backend("numpy_portable")
-        assert not bkp.is_numpy and not bkp.has_einsum
-
-
-# ---------------------------------------------------------------------------
-# Staging discipline and seam counters
-# ---------------------------------------------------------------------------
-
-
-class TestStaging:
-    def test_numpy_is_zero_copy_zero_count(self):
-        bk = get_backend("numpy")
-        before = bk.stats()
-        x = np.arange(12.0).reshape(3, 4)
-        assert bk.to_device(x) is x
-        assert bk.to_host(x) is x
-        delta = bk.stats_since(before)
-        assert delta["h2d_bytes"] == 0
-        assert delta["d2h_bytes"] == 0
-        assert delta["sync_points"] == 0
-
-    def test_portable_staging_counts_bytes(self):
-        bk = get_backend("numpy_portable")
-        before = bk.stats()
-        x = np.arange(12.0).reshape(3, 4)[:, ::2]  # non-contiguous
-        d = bk.to_device(x)
-        assert d.flags["C_CONTIGUOUS"]
-        h = bk.to_host(d)
-        delta = bk.stats_since(before)
-        assert delta["h2d_bytes"] == d.nbytes
-        assert delta["d2h_bytes"] == h.nbytes
-        assert delta["sync_points"] == 1
-
-    def test_staging_widens_float32(self):
-        bk = get_backend("numpy_portable")
-        d = bk.to_device(np.ones(4, dtype=np.float32))
-        assert d.dtype == np.float64
-
-    def test_export_metrics(self):
-        reg = MetricsRegistry()
-        stats = {
-            "kernel_calls": 3, "h2d_bytes": 100, "d2h_bytes": 50,
-            "sync_points": 2,
-        }
-        export_backend_metrics(reg, stats)
-        d = reg.as_dict()
-        assert d["engine.backend.kernel_calls"]["value"] == 3
-        assert d["engine.backend.h2d_bytes"]["value"] == 100
-        export_backend_metrics(reg, stats, prefix="engine.pool.backend")
-        assert "engine.pool.backend.sync_points" in reg.as_dict()
-
-
-# ---------------------------------------------------------------------------
-# Contraction helpers: portable accumulation is bit-equal to einsum
-# ---------------------------------------------------------------------------
-
-
-class TestContractions:
-    def test_dot3_matches_einsum(self, rng):
-        a = rng.normal(size=(4096, 3))
-        b = rng.normal(size=(4096, 3))
-        ref = np.einsum("ij,ij->i", a, b)
-        out = get_backend("numpy_portable").dot3(a, b)
-        np.testing.assert_array_equal(out, ref)
-
-    def test_outer_dot3_matches_einsum(self, rng):
-        u = rng.normal(size=(97, 3))
-        t = rng.normal(size=(64, 3))
-        ref = np.einsum("uj,tj->ut", u, t)
-        out = get_backend("numpy_portable").outer_dot3(u, t)
-        np.testing.assert_array_equal(out, ref)
-
-    def test_rotate3_matches_einsum(self, rng):
-        frames = rng.normal(size=(50, 3, 3))
-        pts = rng.normal(size=(50, 8, 3))
-        ref = np.einsum("pij,pkj->pki", frames, pts)
-        out = get_backend("numpy_portable").rotate3(frames, pts)
-        np.testing.assert_array_equal(out, ref)
-
-
-# ---------------------------------------------------------------------------
-# Batch-kernel twins
-# ---------------------------------------------------------------------------
-
-
-class TestBatchKernels:
-    def test_clip_slab_twin(self, rng):
-        poly = rng.normal(size=(300, 4, 3)) * 5.0
-        z = rng.normal(size=300) * 2.0
-        for keep in (True, False):
-            ref, ref_alive = _clip_slab_batch(poly, z, keep_greater=keep)
-            out, alive = _clip_slab_batch_xp(np, poly, z, keep_greater=keep)
-            np.testing.assert_array_equal(alive, ref_alive)
-            # Pad-slot garbage differs by construction; compare the live
-            # geometry (identical up to -0.0 -> +0.0, which
-            # array_equal treats as equal).
-            np.testing.assert_array_equal(out[ref_alive], ref[ref_alive])
-
-    def test_tool_point_distance_twin(self, rng, paper_tool_arrays):
-        z0s, z1s, rads = paper_tool_arrays
-        axial = rng.normal(size=500) * 40.0
-        radial = np.abs(rng.normal(size=500)) * 40.0
-        ref = tool_point_distance_2d(z0s, z1s, rads, axial, radial)
-        bk = get_backend("numpy_portable")
-        out = bk.to_host(tool_point_distance_2d_xp(bk, z0s, z1s, rads, axial, radial))
-        np.testing.assert_array_equal(out, ref)
-
-    @pytest.mark.parametrize("screen", [True, False])
-    def test_tool_aabb_batch_twin(self, rng, paper_tool_arrays, screen):
-        z0s, z1s, rads = paper_tool_arrays
-        P = 800
-        pivot = np.array([0.0, 0.0, 21.0])
-        dirs = rng.normal(size=(P, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        centers = rng.normal(size=(P, 3)) * 30.0
-        halves = np.abs(rng.normal(size=P)) * 3.0 + 0.1
-        ref = tool_aabb_batch(pivot, dirs, centers, halves, z0s, z1s, rads, screen=screen)
-        out = tool_aabb_batch(
-            pivot, dirs, centers, halves, z0s, z1s, rads, screen=screen,
-            backend=get_backend("numpy_portable"),
-        )
-        np.testing.assert_array_equal(out, ref)
-        assert ref.any() and not ref.all()  # the sample exercises both verdicts
-
-    def test_tool_aabb_cull_twin(self, rng, paper_tool_arrays):
-        z0s, z1s, rads = paper_tool_arrays
-        P = 800
-        pivot = np.array([0.0, 0.0, 21.0])
-        dirs = rng.normal(size=(P, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        centers = rng.normal(size=(P, 3)) * 30.0
-        halves = np.abs(rng.normal(size=P)) * 3.0 + 0.1
-        ref = tool_aabb_cull_batch(pivot, dirs, centers, halves, z0s, z1s, rads)
-        out = tool_aabb_cull_batch(
-            pivot, dirs, centers, halves, z0s, z1s, rads,
-            backend=get_backend("numpy_portable"),
-        )
-        np.testing.assert_array_equal(out, ref)
-
-    def test_numpy_backend_arg_is_inert(self, rng, paper_tool_arrays):
-        z0s, z1s, rads = paper_tool_arrays
-        pivot = np.array([0.0, 0.0, 21.0])
-        dirs = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-        centers = np.array([[0.0, 0.0, 25.0], [40.0, 0.0, 0.0]])
-        bk = get_backend("numpy")
-        before = bk.stats()
-        tool_aabb_batch(pivot, dirs, centers, 2.0, z0s, z1s, rads, backend=bk)
-        assert bk.stats_since(before)["h2d_bytes"] == 0
-
-
-# ---------------------------------------------------------------------------
-# End-to-end equivalence: full runs per backend
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture()
-def force_panels(monkeypatch):
-    """Lower the panel gate so the tiny test scenes hit the panel paths."""
-    monkeypatch.setattr(trav, "_PANEL_MIN_PAIRS", 1)
-    monkeypatch.setattr(trav, "_PANEL_OVERSAMPLE", 1e9)
-
-
-class TestRunEquivalence:
-    @pytest.mark.parametrize("backend", EQUIV_BACKENDS)
-    @pytest.mark.parametrize("method", METHOD_NAMES)
-    def test_maps_and_counters_identical(
-        self, sphere_scene, force_panels, backend, method
-    ):
-        from repro.cd.methods import method_by_name
-
-        for engine in ("v1", "v2"):
-            ref = run_cd(
-                sphere_scene, GRID, method_by_name(method),
-                config=TraversalConfig(engine=engine, backend="numpy"),
-            )
-            alt = run_cd(
-                sphere_scene, GRID, method_by_name(method),
-                config=TraversalConfig(engine=engine, backend=backend),
-            )
-            _assert_identical(ref, alt, f"{method}/{engine}/{backend}")
-
-    @pytest.mark.parametrize("backend", EQUIV_BACKENDS)
-    def test_descending_traversal_identical(
-        self, sphere_scene, force_panels, backend
-    ):
-        # start_level below the stored top forces a multi-level frontier:
-        # panel mode, narrow pair_dist, cull panels, and the exact
-        # fallback all run.
-        from repro.cd.methods import method_by_name
-
-        for method in ("PBoxOpt", "AICA"):
-            ref = run_cd(
-                sphere_scene, GRID, method_by_name(method),
-                config=TraversalConfig(backend="numpy", start_level=2),
-            )
-            alt = run_cd(
-                sphere_scene, GRID, method_by_name(method),
-                config=TraversalConfig(backend=backend, start_level=2),
-            )
-            _assert_identical(ref, alt, f"{method}/descending/{backend}")
-
-    @pytest.mark.parametrize("backend", EQUIV_BACKENDS)
-    def test_pooled_identical_to_serial(self, sphere_scene, force_panels, backend):
-        from repro.cd.methods import method_by_name
-
-        cfg = TraversalConfig(backend=backend, start_level=2)
-        serial = run_cd(sphere_scene, GRID, method_by_name("AICA"), config=cfg)
-        pooled = run_cd(
-            sphere_scene, GRID, method_by_name("AICA"), config=cfg, workers=2
-        )
-        _assert_identical(serial, pooled, f"pooled/{backend}")
-
-    def test_env_backend_respected_end_to_end(
-        self, sphere_scene, force_panels, monkeypatch
-    ):
-        from repro.cd.methods import method_by_name
-
-        monkeypatch.setenv("REPRO_BACKEND", "numpy_portable")
-        r1 = run_cd(sphere_scene, GRID, method_by_name("AICA"))
-        monkeypatch.delenv("REPRO_BACKEND")
-        r2 = run_cd(sphere_scene, GRID, method_by_name("AICA"))
-        _assert_identical(r1, r2, "env backend")
-
-
-class TestBackendMetrics:
-    def test_serial_run_exports_backend_counters(self, sphere_scene, force_panels):
-        from repro.cd.methods import method_by_name
-
-        for backend, expect_transfer in (("numpy", False), ("numpy_portable", True)):
-            reg = MetricsRegistry()
-            with use_metrics(reg):
-                # workers=1 pins the serial path even under REPRO_WORKERS —
-                # pooled runs export engine.pool.backend.* instead.
-                run_cd(
-                    sphere_scene, GRID, method_by_name("AICA"),
-                    config=TraversalConfig(backend=backend), workers=1,
-                )
-            d = reg.as_dict()
-            assert d["engine.backend.kernel_calls"]["value"] > 0
-            moved = d["engine.backend.h2d_bytes"]["value"]
-            assert (moved > 0) == expect_transfer
-            assert (d["engine.backend.sync_points"]["value"] > 0) == expect_transfer
-
-    def test_pooled_run_exports_backend_counters(self, sphere_scene, force_panels):
-        from repro.cd.methods import method_by_name
-
-        reg = MetricsRegistry()
-        with use_metrics(reg):
-            run_cd(
-                sphere_scene, GRID, method_by_name("AICA"),
-                config=TraversalConfig(backend="numpy_portable"), workers=2,
-            )
-        d = reg.as_dict()
-        assert d["engine.pool.backend.kernel_calls"]["value"] > 0
-        assert d["engine.pool.backend.h2d_bytes"]["value"] > 0
-
-
-# ---------------------------------------------------------------------------
-# ArrayBackend construction from a raw namespace
-# ---------------------------------------------------------------------------
-
-
-class TestArrayBackendObject:
-    def test_runtime_accepts_backend_name(self, sphere_scene):
-        from repro.cd.traversal import Runtime
-        from repro.engine.costs import DEFAULT_COSTS
-
-        rt = Runtime(
-            scene=sphere_scene,
-            grid=GRID,
-            counters=ThreadCounters(n_threads=GRID.size, n_cyl=sphere_scene.n_cylinders),
-            costs=DEFAULT_COSTS,
-            config=TraversalConfig(backend="numpy_portable"),
-        )
-        assert isinstance(rt.backend, ArrayBackend)
-        assert rt.backend.name == "numpy_portable"
-
-    def test_config_pinned_through_run(self, sphere_scene, monkeypatch):
-        # run_cd pins the resolved backend into the config it hands to
-        # workers, so an env-resolved choice survives process boundaries.
-        monkeypatch.setenv("REPRO_BACKEND", "numpy_portable")
-        from repro.cd.methods import method_by_name
-
-        r = run_cd(sphere_scene, GRID, method_by_name("PBox"))
-        assert r.config.backend == "numpy_portable"

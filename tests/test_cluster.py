@@ -18,6 +18,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -401,6 +402,20 @@ def _counter(name: str) -> float:
     return float(m.get("value", 0) or 0)
 
 
+def _window_count_at_least(router, n: int, timeout_s: float = 10.0) -> int:
+    """Poll the router's 60 s window until it holds ``n`` entries.
+
+    The handler records a request into the window after the response is
+    written, so a client can read the window before its own entry lands.
+    """
+    deadline = time.monotonic() + timeout_s
+    count = router.window.stats(60)["count"]
+    while count < n and time.monotonic() < deadline:
+        time.sleep(0.005)
+        count = router.window.stats(60)["count"]
+    return count
+
+
 class TestRouterEndToEnd:
     def test_registration_reports_cluster_placement(self, cluster, sphere_scene):
         base, digest, router, urls = cluster
@@ -607,7 +622,9 @@ class TestRouterHedging:
 
             fired0 = _counter("cluster.hedge.fired")
             requests0 = _counter("cluster.requests")
-            window0 = router.window.stats(60)["count"]
+            # Wait for the upload's own window entry before the baseline.
+            window0 = _window_count_at_least(router, 1)
+            assert window0 >= 1
             status, body, headers = http_json(f"{base}/v1/cd", {
                 "scene": digest, "grid": [5, 5], "method": "AICA",
             }, timeout=120.0)
@@ -622,6 +639,7 @@ class TestRouterHedging:
             assert wins >= 1
             # The acceptance invariant: one inbound request, one window
             # entry — the hedged duplicate never double-counts.
+            _window_count_at_least(router, window0 + 1)
             assert router.window.stats(60)["count"] == window0 + 1
             # The cost ledger is the winner's alone: exactly one ledger.
             assert isinstance(body.get("cost"), dict)

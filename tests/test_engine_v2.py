@@ -20,6 +20,7 @@ from repro.engine.workspace import (
 )
 from repro.geometry.orientation import OrientationGrid
 from repro.obs.metrics import MetricsRegistry, use_metrics
+from repro.obs.trace import Tracer, use_tracer
 from repro.service.core import QuerySpec, Service
 
 GRID = OrientationGrid.square(6)
@@ -255,7 +256,7 @@ class TestScreenPanelRouting:
     gathers verdicts; the sparse branch gathers the masked pairs and
     screens them per pair.  The heuristic picks between them on mask
     density, so each branch is forced explicitly here and checked
-    against the v1 reference — backend routing must not regress either.
+    against the v1 reference.
     """
 
     def test_heuristic(self):
@@ -276,32 +277,103 @@ class TestScreenPanelRouting:
         fake._screen = object()  # matrix already built: gathering is free
         assert want(fake, 0) is True
 
-    @pytest.mark.parametrize("engine_backend", [("v2", None), ("v2", "numpy_portable")])
     @pytest.mark.parametrize("dense", [True, False])
     @pytest.mark.parametrize("method", ["PBox", "PBoxOpt", "AICA"])
     def test_forced_branches_identical(
-        self, sphere_scene, monkeypatch, method, dense, engine_backend
+        self, sphere_scene, force_panels, monkeypatch, method, dense
     ):
         import repro.cd.traversal as trav
 
-        engine, backend = engine_backend
         ref = run_cd(
             sphere_scene, GRID, method_by_name(method),
             config=TraversalConfig(engine="v1", start_level=2),
         )
-        # Low panel gates so the tiny scene runs panel mode at all
-        # (n_masked spans tiny corner masks up to full-frontier masks),
-        # then pin the branch.
-        monkeypatch.setattr(trav, "_PANEL_MIN_PAIRS", 1)
-        monkeypatch.setattr(trav, "_PANEL_OVERSAMPLE", 1e9)
+        # force_panels lowers the gates so the tiny scene runs panel mode
+        # at all (n_masked spans tiny corner masks up to full-frontier
+        # masks); pin the branch.
         monkeypatch.setattr(
             trav.LevelContext, "want_screen_panel", lambda self, n: dense
         )
         forced = run_cd(
             sphere_scene, GRID, method_by_name(method),
-            config=TraversalConfig(engine=engine, backend=backend, start_level=2),
+            config=TraversalConfig(engine="v2", start_level=2),
         )
-        _assert_identical(ref, forced, f"{method} dense={dense} backend={backend}")
+        _assert_identical(ref, forced, f"{method} dense={dense}")
+
+
+# ---------------------------------------------------------------------------
+# Level routing: panel kernels on gated levels, v1 kernels elsewhere
+# ---------------------------------------------------------------------------
+
+
+class _CtxSpy:
+    """Wraps a method; records ``(level, wave.ctx is not None)`` per decide."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.seen: list[tuple[int, bool]] = []
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def decide(self, rt, wave):
+        self.seen.append((wave.level, wave.ctx is not None))
+        return self._inner.decide(rt, wave)
+
+
+class TestLevelRouting:
+    """A v2 level runs the panel kernels iff it passes the panel gate.
+
+    On ``sphere_scene`` with a 6x6 grid the default ``start_level=5``
+    decides one 78,336-pair level, well past the gate; from
+    ``start_level=2`` levels 2-5 hold 288-9,936 pairs and none pass it.
+    ``workers=1`` keeps the spy in this process (pool workers rebuild
+    methods by name).
+    """
+
+    def _levels(self, scene, start_level):
+        spy = _CtxSpy(method_by_name("AICA"))
+        run_cd(
+            scene, GRID, spy,
+            config=TraversalConfig(engine="v2", start_level=start_level),
+            workers=1,
+        )
+        return spy.seen
+
+    def test_dense_default_level_runs_panels(self, sphere_scene):
+        assert self._levels(sphere_scene, 5) == [(5, True)]
+
+    def test_gate_misses_run_reference_kernels(self, sphere_scene):
+        seen = self._levels(sphere_scene, 2)
+        assert [lvl for lvl, _ in seen] == [2, 3, 4, 5]
+        assert not any(ctx for _, ctx in seen)
+
+    def test_forced_panels_everywhere(self, sphere_scene, force_panels):
+        seen = self._levels(sphere_scene, 2)
+        assert [lvl for lvl, _ in seen] == [2, 3, 4, 5]
+        assert all(ctx for _, ctx in seen)
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_forced_panels_pooled_identical_to_v1(
+        self, sphere_scene, force_panels, method
+    ):
+        # Pool workers fork after the gate is lowered, so they run the
+        # panel kernels too; the traced cd.level spans prove it.  One
+        # worker's leaf level is narrower than the stored level (a gate
+        # condition force_panels keeps), so that level runs the v1
+        # kernels and the pooled map mixes both routes.
+        ref = run_cd(
+            sphere_scene, GRID, method_by_name(method),
+            config=TraversalConfig(engine="v1", start_level=2), workers=1,
+        )
+        with use_tracer(Tracer()) as tr:
+            pooled = run_cd(
+                sphere_scene, GRID, method_by_name(method),
+                config=TraversalConfig(engine="v2", start_level=2), workers=2,
+            )
+        _assert_identical(ref, pooled, f"{method} forced panels workers=2")
+        panel = {r["attrs"]["panel"] for r in tr.to_dicts() if r["name"] == "cd.level"}
+        assert panel == {True, False}
 
 
 # ---------------------------------------------------------------------------

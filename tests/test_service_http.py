@@ -139,6 +139,10 @@ class TestEndpoints:
         assert status == 400 and "unknown query field" in body["error"]
         status, body = _post(f"{base}/v1/cd", {"scene": digest, "method": "NOPE"})
         assert status == 400 and "unknown method" in body["error"]
+        # The array-backend field is gone; old clients get told so.
+        status, body = _post(f"{base}/v1/cd", {"scene": digest, "backend": "numpy"})
+        assert status == 400
+        assert "unknown query field(s): backend" in body["error"]
 
     def test_non_json_body_400(self, server):
         base, _ = server
@@ -149,6 +153,33 @@ class TestEndpoints:
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(req, timeout=60)
         assert exc.value.code == 400
+
+
+class TestKeepAlive:
+    def test_keepalive_requests_are_not_stalled(self, server):
+        # A response is written as headers then body; with Nagle's
+        # algorithm on, every request after the first on a keep-alive
+        # connection waits for the client's delayed ACK (>= 40 ms on
+        # Linux) before the body leaves the server.
+        import http.client
+        import statistics
+
+        base, _ = server
+        host, port = base.removeprefix("http://").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=60)
+        times = []
+        try:
+            for i in range(11):
+                t0 = time.perf_counter()
+                conn.request("GET", "/v1/healthz")
+                resp = conn.getresponse()
+                resp.read()
+                assert resp.status == 200
+                if i:  # the first request opens the connection
+                    times.append(time.perf_counter() - t0)
+        finally:
+            conn.close()
+        assert statistics.median(times) * 1e3 < 20, times
 
 
 class TestSceneParsing:
