@@ -21,8 +21,7 @@ import numpy as np
 
 from repro.cd.traversal import OUT_EXPAND, OUT_NO, OUT_YES, Runtime, Wave
 from repro.geometry.batch import tool_aabb_batch, tool_aabb_cull_batch
-from repro.ica.cone import ica_bounds_cos
-from repro.ica.table import SQRT3
+from repro.ica.cone import checkica_bounds_cos
 
 __all__ = ["PBox", "PBoxOpt", "PICA", "MICA", "AICA", "METHODS", "method_by_name"]
 
@@ -182,17 +181,10 @@ class _IcaBase:
             # gather — a wall-clock dedup only; the simulated cost stays
             # per-pair (each GPU thread of PICA really does recompute its
             # own ICA, which is exactly the redundancy MICA's table removes).
-            tool = scene.tool
             uniq, inverse = np.unique(wave.codes[fly], return_inverse=True)
             first = np.zeros(len(uniq), dtype=np.intp)
             first[inverse[::-1]] = np.nonzero(fly)[0][::-1]
-            du = dist[first]
-            lo, _ = ica_bounds_cos(
-                tool.z0, tool.z1, tool.radius, du, np.full(len(uniq), wave.half)
-            )
-            _, hi = ica_bounds_cos(
-                tool.z0, tool.z1, tool.radius, du, np.full(len(uniq), SQRT3 * wave.half)
-            )
+            lo, hi = checkica_bounds_cos(scene.tool, dist[first], wave.half)
             cos1[fly] = lo[inverse]
             cos2[fly] = hi[inverse]
             rt.counters.add_threads("ica_fly_checks", wave.threads[fly], n_threads)

@@ -27,9 +27,10 @@ class Scene:
     pivot: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "pivot", np.asarray(self.pivot, dtype=np.float64).reshape(3)
-        )
+        pivot = np.asarray(self.pivot, dtype=np.float64).reshape(3)
+        if not np.isfinite(pivot).all():
+            raise ValueError(f"pivot must be finite, got {pivot.tolist()}")
+        object.__setattr__(self, "pivot", pivot)
 
     @property
     def n_cylinders(self) -> int:

@@ -42,8 +42,8 @@ from repro.engine.device import DeviceSpec, GTX_1080_TI
 from repro.engine.simt import simulate_kernel, simulate_stage
 from repro.engine.workspace import Workspace, get_ambient_workspace
 from repro.geometry.orientation import OrientationGrid
-from repro.ica.cone import ica_bounds_cos
-from repro.ica.table import SQRT3, IcaTable, build_ica_table
+from repro.ica.cone import checkica_bounds_cos
+from repro.ica.table import IcaTable, build_ica_table
 from repro.obs.metrics import get_metrics
 from repro.obs.profile import Heartbeat, progress_enabled
 from repro.obs.trace import get_tracer
@@ -496,26 +496,11 @@ class LevelContext:
                     cos1[:nus] = c1
                     cos2[:nus] = c2
                 if len(vuq):
-                    du = dist_w[nus:]
-                    lo, _ = ica_bounds_cos(
-                        tool.z0, tool.z1, tool.radius, du, np.full(len(vuq), self.half)
+                    cos1[nus:], cos2[nus:] = checkica_bounds_cos(
+                        tool, dist_w[nus:], self.half
                     )
-                    _, hi = ica_bounds_cos(
-                        tool.z0, tool.z1, tool.radius, du,
-                        np.full(len(vuq), SQRT3 * self.half),
-                    )
-                    cos1[nus:] = lo
-                    cos2[nus:] = hi
             else:
-                lo, _ = ica_bounds_cos(
-                    tool.z0, tool.z1, tool.radius, dist_w, np.full(U, self.half)
-                )
-                _, hi = ica_bounds_cos(
-                    tool.z0, tool.z1, tool.radius, dist_w,
-                    np.full(U, SQRT3 * self.half),
-                )
-                cos1[:] = lo
-                cos2[:] = hi
+                cos1[:], cos2[:] = checkica_bounds_cos(tool, dist_w, self.half)
             self._pbounds = (cos1, cos2, memo_stored)
         return self._pbounds
 

@@ -334,13 +334,32 @@ def tool_point_distance_2d(z0s, z1s, rads, axial, radial) -> np.ndarray:
     The tool is a solid of revolution, so this 2D rectangle distance *is*
     the 3D point-to-tool distance — the exact reduction behind the ICA
     abstraction.  ``axial``/``radial`` broadcast; the result has the
-    broadcast shape (minimum over the tool's cylinders).
+    broadcast shape (minimum over the tool's cylinders).  The cylinder
+    loop is the outer loop: each pass runs over the whole point block.
     """
     z0s = np.atleast_1d(np.asarray(z0s, dtype=np.float64))
     z1s = np.atleast_1d(np.asarray(z1s, dtype=np.float64))
     rads = np.atleast_1d(np.asarray(rads, dtype=np.float64))
-    axial = np.asarray(axial, dtype=np.float64)[..., None]
-    radial = np.asarray(radial, dtype=np.float64)[..., None]
-    dz = np.maximum(z0s - axial, 0.0) + np.maximum(axial - z1s, 0.0)
-    dr = np.maximum(radial - rads, 0.0)
-    return np.min(np.hypot(dz, dr), axis=-1)
+    z0s, z1s, rads = np.broadcast_arrays(z0s, z1s, rads)
+    if z0s.size == 0:
+        raise ValueError("the tool needs at least one cylinder")
+    axial = np.asarray(axial, dtype=np.float64)
+    radial = np.asarray(radial, dtype=np.float64)
+    shape = np.broadcast_shapes(axial.shape, radial.shape)
+    out = np.empty(shape)
+    dz = np.empty(shape)
+    tmp = np.empty(shape)
+    for k in range(z0s.size):
+        np.subtract(z0s[k], axial, out=dz)
+        np.maximum(dz, 0.0, out=dz)
+        np.subtract(axial, z1s[k], out=tmp)
+        np.maximum(tmp, 0.0, out=tmp)
+        np.add(dz, tmp, out=dz)
+        np.subtract(radial, rads[k], out=tmp)
+        np.maximum(tmp, 0.0, out=tmp)
+        if k == 0:
+            np.hypot(dz, tmp, out=out)
+        else:
+            np.hypot(dz, tmp, out=dz)
+            np.minimum(out, dz, out=out)
+    return out if out.ndim else out[()]

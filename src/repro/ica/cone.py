@@ -55,12 +55,14 @@ from repro.tool.tool import Tool
 
 __all__ = [
     "ica_bounds_cos",
+    "checkica_bounds_cos",
     "ica_bounds_arrays",
     "tool_ica_batch",
     "tool_ica",
     "inaccessible_intervals",
     "ACCESSIBLE_SENTINEL",
     "COS_NEVER",
+    "SQRT3",
 ]
 
 #: ``ica_lo`` (angle space) meaning "no collision guaranteed at any angle".
@@ -70,20 +72,44 @@ ACCESSIBLE_SENTINEL = -1.0
 #: are <= 1, so ``cos_angle >= COS_NEVER`` never fires.
 COS_NEVER = 2.0
 
+#: Circumscribed-sphere radius of a cube per unit half-edge.
+SQRT3 = float(np.sqrt(3.0))
+
 
 def _member_cos(z0, z1, R, d, r, c) -> np.ndarray:
     """Touching test at cosine samples ``c (B, S)``; tool ``(C,)``, ``d``/``r`` ``(B,)``.
 
     ``z = d*c``, ``rho = d*sqrt(1 - c^2)`` (the ``theta in [0, pi]``
-    branch), then 2D distance to each rectangle vs ``r``.
+    branch), then 2D distance to each rectangle vs ``r``.  The cylinder
+    loop is the outer loop: every pass runs over the whole contiguous
+    ``(B, S)`` block, in preallocated temporaries.
     """
     cc = np.clip(c, -1.0, 1.0)
-    z = (d[:, None] * cc)[:, :, None]  # (B, S, 1)
-    rho = (d[:, None] * np.sqrt(1.0 - cc * cc))[:, :, None]
-    dz = np.maximum(z0 - z, 0.0) + np.maximum(z - z1, 0.0)  # (B, S, C)
-    drho = np.maximum(rho - R, 0.0)
-    rr = r[:, None, None]
-    return ((dz * dz + drho * drho) <= rr * rr).any(axis=-1)
+    dcol = d[:, None]
+    z = dcol * cc
+    rho = np.multiply(cc, cc, out=cc)
+    np.subtract(1.0, rho, out=rho)
+    np.sqrt(rho, out=rho)
+    np.multiply(dcol, rho, out=rho)
+    rr = (r * r)[:, None]
+    dz = np.empty_like(z)
+    tmp = np.empty_like(z)
+    touch = np.empty(z.shape, dtype=bool)
+    member = np.zeros(z.shape, dtype=bool)
+    for k in range(len(z0)):
+        np.subtract(z0[k], z, out=dz)
+        np.maximum(dz, 0.0, out=dz)
+        np.subtract(z, z1[k], out=tmp)
+        np.maximum(tmp, 0.0, out=tmp)
+        np.add(dz, tmp, out=dz)
+        np.multiply(dz, dz, out=dz)
+        np.subtract(rho, R[k], out=tmp)
+        np.maximum(tmp, 0.0, out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        np.add(dz, tmp, out=dz)
+        np.less_equal(dz, rr, out=touch)
+        np.logical_or(member, touch, out=member)
+    return member
 
 
 def _candidate_cos(z0, z1, R, d, r) -> np.ndarray:
@@ -101,36 +127,66 @@ def _candidate_cos(z0, z1, R, d, r) -> np.ndarray:
       ``cos delta = (d^2 + |q|^2 - r^2) / (2 d |q|)``, and
       ``cos(alpha +- delta)`` expands with ``cos alpha = zc/|q|``,
       ``sin alpha = R/|q|`` — arithmetic only.
+
+    Column ``j*C + k`` holds kind ``j`` of cylinder ``k``, kinds in the
+    order cap ``z1``, cap ``z0``, top ``+``, top ``-``, then ``+``/``-``
+    for the ``z0`` corner and the ``z1`` corner.  Each cylinder fills its
+    eight columns with passes over the ``B`` rows.
     """
     B = d.shape[0]
-    d_ = np.maximum(d, 1e-300)[:, None]  # guard the d = 0 degenerate case
-    r_ = r[:, None]
-
-    cap_hi = np.clip((z1 + r_) / d_, -1.0, 1.0)  # (B, C)
-    cap_lo = np.clip((z0 - r_) / d_, -1.0, 1.0)
-    s_top = np.clip((R + r_) / d_, 0.0, 1.0)
-    c_top = np.sqrt(1.0 - s_top * s_top)
-
-    parts = [cap_hi, cap_lo, c_top, -c_top]
+    C = len(z0)
+    out = np.empty((B, 8 * C + 2))
+    out[:, -2] = 1.0
+    out[:, -1] = -1.0
+    d_ = np.maximum(d, 1e-300)  # guard the d = 0 degenerate case
+    dd = d_ * d_
+    rr = r * r
+    d2 = 2.0 * d_
+    corners = []
     for cz in (z0, z1):
-        Dq = np.hypot(cz, R)[None, :]  # (1, C) pivot-to-corner distance
-        Dq_safe = np.maximum(Dq, 1e-300)
-        cos_a = cz / Dq_safe
-        sin_a = R / Dq_safe
-        cos_delta = np.clip(
-            (d_ * d_ + Dq_safe * Dq_safe - r_ * r_) / (2.0 * d_ * Dq_safe), -1.0, 1.0
-        )
-        sin_delta = np.sqrt(1.0 - cos_delta * cos_delta)
-        parts.append(np.clip(cos_a * cos_delta + sin_a * sin_delta, -1.0, 1.0))
-        parts.append(np.clip(cos_a * cos_delta - sin_a * sin_delta, -1.0, 1.0))
-
-    cand = np.concatenate(parts, axis=1)  # (B, 8C)
-    ends = np.broadcast_to(np.array([1.0, -1.0]), (B, 2))
-    return np.concatenate([cand, ends], axis=1)
+        Dq = np.maximum(np.hypot(cz, R), 1e-300)  # (C,) pivot-to-corner distance
+        corners.append((Dq, Dq * Dq, cz / Dq, R / Dq))
+    cos_d = np.empty(B)
+    sin_d = np.empty(B)
+    tmp = np.empty(B)
+    for k in range(C):
+        col = out[:, k]
+        np.add(z1[k], r, out=col)
+        np.divide(col, d_, out=col)
+        np.clip(col, -1.0, 1.0, out=col)
+        col = out[:, C + k]
+        np.subtract(z0[k], r, out=col)
+        np.divide(col, d_, out=col)
+        np.clip(col, -1.0, 1.0, out=col)
+        np.add(R[k], r, out=tmp)
+        np.divide(tmp, d_, out=tmp)
+        np.clip(tmp, 0.0, 1.0, out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        np.sqrt(tmp, out=out[:, 2 * C + k])
+        np.negative(out[:, 2 * C + k], out=out[:, 3 * C + k])
+        for j, (Dq, Dq2, cos_a, sin_a) in enumerate(corners):
+            np.add(dd, Dq2[k], out=cos_d)
+            np.subtract(cos_d, rr, out=cos_d)
+            np.multiply(d2, Dq[k], out=tmp)
+            np.divide(cos_d, tmp, out=cos_d)
+            np.clip(cos_d, -1.0, 1.0, out=cos_d)
+            np.multiply(cos_d, cos_d, out=sin_d)
+            np.subtract(1.0, sin_d, out=sin_d)
+            np.sqrt(sin_d, out=sin_d)
+            np.multiply(cos_a[k], cos_d, out=cos_d)
+            np.multiply(sin_a[k], sin_d, out=sin_d)
+            plus = out[:, (4 + 2 * j) * C + k]
+            minus = out[:, (5 + 2 * j) * C + k]
+            np.add(cos_d, sin_d, out=plus)
+            np.clip(plus, -1.0, 1.0, out=plus)
+            np.subtract(cos_d, sin_d, out=minus)
+            np.clip(minus, -1.0, 1.0, out=minus)
+    return out
 
 
 def ica_bounds_cos(
-    z0, z1, R, dist, sphere_r, *, chunk: int = 65536
+    z0, z1, R, dist, sphere_r, *, chunk: int = 1024
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cos-space GETTOOLICA over batches.
 
@@ -143,8 +199,10 @@ def ica_bounds_cos(
       inaccessible).
 
     Batches larger than ``chunk`` are processed in slices so the
-    ``(B, 8C+1, C)`` membership intermediates stay cache-sized instead of
-    ballooning to hundreds of MB on deep traversal frontiers.
+    ``(B, 8C+2)`` candidate and ``(B, 8C+1)`` membership temporaries stay
+    cache-sized however large the batch: at 1024 rows the four float
+    ``(B, 8C+1)`` temporaries of the 4-cylinder tool's membership pass
+    take about 1 MiB together.
     """
     z0 = np.atleast_1d(np.asarray(z0, dtype=np.float64))
     z1 = np.atleast_1d(np.asarray(z1, dtype=np.float64))
@@ -166,9 +224,14 @@ def ica_bounds_cos(
             lo[sl], hi[sl] = ica_bounds_cos(z0, z1, R, d[sl], r[sl], chunk=chunk)
         return lo.reshape(shape), hi.reshape(shape)
 
-    # Descending cosine == ascending angle.
-    cand = -np.sort(-_candidate_cos(z0, z1, R, d, r), axis=1)  # (B, K)
-    mids = 0.5 * (cand[:, :-1] + cand[:, 1:])  # interior cos samples
+    # Descending cosine == ascending angle.  Negate, sort, negate: a
+    # reversed ascending sort could place -0.0/+0.0 ties differently.
+    cand = _candidate_cos(z0, z1, R, d, r)  # (B, K)
+    np.negative(cand, out=cand)
+    cand.sort(axis=1)
+    np.negative(cand, out=cand)
+    mids = np.add(cand[:, :-1], cand[:, 1:])  # interior cos samples
+    np.multiply(0.5, mids, out=mids)
     member = _member_cos(z0, z1, R, d, r, mids)  # (B, K-1)
 
     # Supremum of the inaccessible set: the far (smaller-cos) edge of the
@@ -184,6 +247,20 @@ def ica_bounds_cos(
     cos_lo = np.where(member[:, 0], cos_lo, COS_NEVER)
 
     return cos_lo.reshape(shape), cos_hi.reshape(shape)
+
+
+def checkica_bounds_cos(tool: Tool, dist, half: float) -> tuple[np.ndarray, np.ndarray]:
+    """CHECKICA's bound pair ``(cos1, cos2)`` for cubic cells of half-edge ``half``.
+
+    ``dist`` holds the cell centers' distances to the pivot.  ``cos1`` is
+    ``cos_lo`` of each cell's inscribed sphere (radius ``half``):
+    ``ca >= cos1`` means collision.  ``cos2`` is ``cos_hi`` of its
+    circumscribed sphere (radius ``sqrt(3) * half``): ``ca <= cos2``
+    means no collision.
+    """
+    cos1, _ = ica_bounds_cos(tool.z0, tool.z1, tool.radius, dist, half)
+    _, cos2 = ica_bounds_cos(tool.z0, tool.z1, tool.radius, dist, SQRT3 * half)
+    return cos1, cos2
 
 
 def ica_bounds_arrays(z0, z1, R, dist, sphere_r) -> tuple[np.ndarray, np.ndarray]:

@@ -20,14 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ica.cone import ica_bounds_cos
+from repro.ica.cone import SQRT3, checkica_bounds_cos
 from repro.obs.trace import get_tracer
 from repro.octree.linear import LinearOctree
 from repro.tool.tool import Tool
 
 __all__ = ["IcaTable", "build_ica_table", "SQRT3"]
-
-SQRT3 = float(np.sqrt(3.0))
 
 
 @dataclass
@@ -70,8 +68,9 @@ def build_ica_table(
     ``levels`` defaults to the paper's ``S = 8`` — the same default as
     ``TraversalConfig.memo_levels`` — capped at the tree's level count
     (``depth + 1``): levels ``0 .. S-1`` are memoized.  The computation
-    is one vectorized :func:`tool_ica_batch` call per level — the direct
-    analogue of the one-thread-per-voxel GPU kernel.
+    is one vectorized :func:`~repro.ica.cone.checkica_bounds_cos` call
+    per level — the direct analogue of the one-thread-per-voxel GPU
+    kernel.
     """
     pivot = np.asarray(pivot, dtype=np.float64)
     if levels is None:
@@ -90,11 +89,7 @@ def build_ica_table(
                 continue
             centers = tree.centers(l)
             dist = np.linalg.norm(centers - pivot, axis=-1)
-            half = tree.cell_half(l)
-            lo, _ = ica_bounds_cos(tool.z0, tool.z1, tool.radius, dist, np.full(lev.n, half))
-            _, hi = ica_bounds_cos(
-                tool.z0, tool.z1, tool.radius, dist, np.full(lev.n, SQRT3 * half)
-            )
+            lo, hi = checkica_bounds_cos(tool, dist, tree.cell_half(l))
             cos1.append(lo)
             cos2.append(hi)
             n += lev.n

@@ -22,6 +22,7 @@ same inputs, at any worker count and for all five methods.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -103,11 +104,15 @@ class QuerySpec:
             p = tuple(float(x) for x in self.pivot)
             if len(p) != 3:
                 raise ValueError("pivot must have 3 coordinates")
+            if not all(math.isfinite(x) for x in p):
+                raise ValueError(f"pivot must be finite, got {list(p)}")
             object.__setattr__(self, "pivot", p)
         if self.pivots is not None:
             pts = tuple(tuple(float(x) for x in p) for p in self.pivots)
             if not pts or any(len(p) != 3 for p in pts):
                 raise ValueError("pivots must be a non-empty list of 3D points")
+            if not all(math.isfinite(x) for p in pts for x in p):
+                raise ValueError("pivots must be finite")
             object.__setattr__(self, "pivots", pts)
             if self.pivot is not None:
                 raise ValueError("give either pivot or pivots, not both")

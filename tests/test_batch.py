@@ -13,6 +13,7 @@ from repro.geometry.cylinder import Cylinder
 from repro.geometry.frames import frame_from_axis
 from repro.geometry.orientation import direction_from_angles
 from repro.geometry.predicates import tool_cylinders_aabb_intersects
+from repro.tool.tool import Tool, ball_end_mill, paper_tool, straight_line_tool
 
 
 @pytest.fixture(scope="module")
@@ -188,3 +189,63 @@ class TestToolPointDistance2D:
     def test_inside_zero(self):
         got = tool_point_distance_2d([0.0], [5.0], [2.0], np.array([2.5]), np.array([1.0]))
         assert got[0] == 0.0
+
+
+def _tool_point_distance_2d_ref(z0s, z1s, rads, axial, radial):
+    """Cylinder-innermost broadcast form of :func:`tool_point_distance_2d`:
+    the bit-exact reference for its cylinder-major loop."""
+    z0s = np.atleast_1d(np.asarray(z0s, dtype=np.float64))
+    z1s = np.atleast_1d(np.asarray(z1s, dtype=np.float64))
+    rads = np.atleast_1d(np.asarray(rads, dtype=np.float64))
+    axial = np.asarray(axial, dtype=np.float64)[..., None]
+    radial = np.asarray(radial, dtype=np.float64)[..., None]
+    dz = np.maximum(z0s - axial, 0.0) + np.maximum(axial - z1s, 0.0)
+    dr = np.maximum(radial - rads, 0.0)
+    return np.min(np.hypot(dz, dr), axis=-1)
+
+
+_DIST_TOOLS = {
+    "paper": paper_tool(),
+    "ball": ball_end_mill(),
+    "line": straight_line_tool(),
+    "one-cylinder": Tool.from_segments([(2.0, 30.0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DIST_TOOLS))
+class TestToolPointDistanceCylinderMajor:
+    """The cylinder-major loop is bit-identical to the broadcast form."""
+
+    def _check(self, tool, axial, radial):
+        got = tool_point_distance_2d(tool.z0, tool.z1, tool.radius, axial, radial)
+        ref = _tool_point_distance_2d_ref(tool.z0, tool.z1, tool.radius, axial, radial)
+        assert np.shape(got) == np.shape(ref)
+        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+        return got
+
+    def test_panel(self, name):
+        tool = _DIST_TOOLS[name]
+        rng = np.random.default_rng(5)
+        axial = rng.uniform(-40.0, tool.reach + 40.0, (130, 70))
+        radial = rng.uniform(0.0, 2.0 * tool.max_radius, (130, 70))
+        axial[0, :3] = tool.z0[0]
+        axial[1, :3] = tool.z1[-1]
+        radial[2, :3] = tool.radius[0]
+        radial[3] = 0.0
+        self._check(tool, axial, radial)
+        # The (U, 1) x (1, B) broadcast of the screen panel.
+        self._check(tool, axial[:, :1], radial[:1, :])
+
+    def test_zero_d_and_empty(self, name):
+        tool = _DIST_TOOLS[name]
+        got = self._check(tool, 3.0, 1.5)
+        assert np.ndim(got) == 0
+        assert np.ndim(self._check(tool, np.float64(-2.0), np.array(0.5))) == 0
+        assert self._check(tool, np.zeros(0), np.zeros(0)).shape == (0,)
+        assert self._check(tool, np.zeros((0, 4)), np.zeros((1, 4))).shape == (0, 4)
+
+
+def test_tool_point_distance_empty_stack_raises():
+    with pytest.raises(ValueError):
+        tool_point_distance_2d([], [], [], np.ones(3), np.ones(3))

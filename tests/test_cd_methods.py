@@ -95,6 +95,15 @@ class TestMethodSemantics:
         r = run_cd(scene, OrientationGrid.square(4), PBox())
         assert r.n_colliding == r.grid.size
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pivot_rejected(self, sphere_scene, bad):
+        # A NaN/inf pivot makes every distance and cosine non-finite, and
+        # every check then answers "free": an all-accessible map.
+        with pytest.raises(ValueError, match="finite"):
+            Scene(sphere_scene.tree, paper_tool(), np.array([bad, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="finite"):
+            sphere_scene.with_pivot([0.0, 0.0, bad])
+
     def test_method_by_name(self):
         assert method_by_name("aica").name == "AICA"
         assert method_by_name("PBox").name == "PBox"

@@ -7,6 +7,8 @@ test.  These are property-tested with randomized tools and spheres, and
 the bounds' tightness is checked against brute-force membership.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,13 +17,19 @@ from hypothesis import strategies as st
 from repro.ica.cone import (
     ACCESSIBLE_SENTINEL,
     COS_NEVER,
+    SQRT3,
+    _candidate_cos,
+    _member_cos,
+    checkica_bounds_cos,
     ica_bounds_arrays,
     ica_bounds_cos,
     inaccessible_intervals,
     tool_ica,
     tool_ica_batch,
 )
-from repro.tool.tool import Tool, ball_end_mill, paper_tool
+from repro.tool.tool import Tool, ball_end_mill, paper_tool, straight_line_tool
+
+DEFAULT_CHUNK = inspect.signature(ica_bounds_cos).parameters["chunk"].default
 
 
 def _membership(tool, dist, r, thetas):
@@ -142,12 +150,26 @@ class TestCosSpace:
     def test_chunking_invariance(self):
         t = paper_tool()
         rng = np.random.default_rng(0)
-        dist = rng.uniform(0, 250, 500)
-        r = rng.uniform(0.01, 5, 500)
-        a = ica_bounds_cos(t.z0, t.z1, t.radius, dist, r, chunk=64)
-        b = ica_bounds_cos(t.z0, t.z1, t.radius, dist, r, chunk=10**6)
-        np.testing.assert_allclose(a[0], b[0], atol=0)
-        np.testing.assert_allclose(a[1], b[1], atol=0)
+        for n, chunk in ((500, 64), (2 * DEFAULT_CHUNK + 3, DEFAULT_CHUNK)):
+            dist = rng.uniform(0, 250, n)
+            r = rng.uniform(0.01, 5, n)
+            a = ica_bounds_cos(t.z0, t.z1, t.radius, dist, r, chunk=chunk)
+            b = ica_bounds_cos(t.z0, t.z1, t.radius, dist, r, chunk=10**6)
+            np.testing.assert_array_equal(a[0], b[0])
+            np.testing.assert_array_equal(a[1], b[1])
+
+    def test_checkica_pair_matches_two_sphere_calls(self):
+        t = paper_tool()
+        rng = np.random.default_rng(3)
+        dist = rng.uniform(0, 250, 300)
+        half = 0.75
+        cos1, cos2 = checkica_bounds_cos(t, dist, half)
+        lo, _ = ica_bounds_cos(t.z0, t.z1, t.radius, dist, np.full(300, half))
+        _, hi = ica_bounds_cos(t.z0, t.z1, t.radius, dist, np.full(300, SQRT3 * half))
+        np.testing.assert_array_equal(cos1, lo)
+        np.testing.assert_array_equal(cos2, hi)
+        empty = checkica_bounds_cos(t, np.zeros(0), half)
+        assert empty[0].shape == empty[1].shape == (0,)
 
     def test_broadcast_shapes(self):
         t = paper_tool()
@@ -184,3 +206,126 @@ class TestIntervals:
         # 36 is within 1.0? no -> depends; just require consistency:
         if ivs and ivs[0][0] > 1e-12:
             assert lo == ACCESSIBLE_SENTINEL
+
+
+# Cylinder-innermost broadcast forms of the kernels in repro.ica.cone:
+# bit-exact references for their cylinder-major loops.
+
+
+def _member_cos_ref(z0, z1, R, d, r, c):
+    cc = np.clip(c, -1.0, 1.0)
+    z = (d[:, None] * cc)[:, :, None]
+    rho = (d[:, None] * np.sqrt(1.0 - cc * cc))[:, :, None]
+    dz = np.maximum(z0 - z, 0.0) + np.maximum(z - z1, 0.0)
+    drho = np.maximum(rho - R, 0.0)
+    rr = r[:, None, None]
+    return ((dz * dz + drho * drho) <= rr * rr).any(axis=-1)
+
+
+def _candidate_cos_ref(z0, z1, R, d, r):
+    B = d.shape[0]
+    d_ = np.maximum(d, 1e-300)[:, None]
+    r_ = r[:, None]
+    cap_hi = np.clip((z1 + r_) / d_, -1.0, 1.0)
+    cap_lo = np.clip((z0 - r_) / d_, -1.0, 1.0)
+    s_top = np.clip((R + r_) / d_, 0.0, 1.0)
+    c_top = np.sqrt(1.0 - s_top * s_top)
+    parts = [cap_hi, cap_lo, c_top, -c_top]
+    for cz in (z0, z1):
+        Dq = np.hypot(cz, R)[None, :]
+        Dq_safe = np.maximum(Dq, 1e-300)
+        cos_a = cz / Dq_safe
+        sin_a = R / Dq_safe
+        cos_delta = np.clip(
+            (d_ * d_ + Dq_safe * Dq_safe - r_ * r_) / (2.0 * d_ * Dq_safe), -1.0, 1.0
+        )
+        sin_delta = np.sqrt(1.0 - cos_delta * cos_delta)
+        parts.append(np.clip(cos_a * cos_delta + sin_a * sin_delta, -1.0, 1.0))
+        parts.append(np.clip(cos_a * cos_delta - sin_a * sin_delta, -1.0, 1.0))
+    cand = np.concatenate(parts, axis=1)
+    ends = np.broadcast_to(np.array([1.0, -1.0]), (B, 2))
+    return np.concatenate([cand, ends], axis=1)
+
+
+def _ica_bounds_cos_ref(z0, z1, R, d, r):
+    cand = -np.sort(-_candidate_cos_ref(z0, z1, R, d, r), axis=1)
+    mids = 0.5 * (cand[:, :-1] + cand[:, 1:])
+    member = _member_cos_ref(z0, z1, R, d, r, mids)
+    cos_hi = np.min(np.where(member, cand[:, 1:], COS_NEVER), axis=1)
+    cos_hi = np.where(cos_hi == COS_NEVER, 1.0, cos_hi)
+    first_false = np.argmax(~member, axis=1)
+    all_true = member.all(axis=1)
+    row = np.arange(len(d))
+    cos_lo = np.where(all_true, -1.0, cand[row, first_false])
+    cos_lo = np.where(member[:, 0], cos_lo, COS_NEVER)
+    return cos_lo, cos_hi
+
+
+def _assert_bits(got, ref):
+    np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+
+
+_TOOLS = {
+    "paper": paper_tool(),
+    "ball": ball_end_mill(),
+    "line": straight_line_tool(),
+    "one-cylinder": Tool.from_segments([(2.0, 30.0)]),
+    "gapped": Tool(np.array([0.0, 10.0]), np.array([5.0, 20.0]), np.array([1.0, 3.0])),
+}
+
+
+def _rows(tool, seed=7):
+    """Seeded ``(dist, r)`` rows spanning two default chunks, with the
+    degenerate and touching rows placed across the first chunk boundary."""
+    rng = np.random.default_rng(seed)
+    n = 2 * DEFAULT_CHUNK + 37
+    d = rng.uniform(0.0, 1.2 * tool.reach + 10.0, n)
+    r = rng.uniform(0.0, 8.0, n)
+    k = DEFAULT_CHUNK - 4
+    d[k] = 0.0
+    d[k + 1] = r[k + 1] = 0.0
+    r[k + 2] = 0.0
+    d[k + 3] = tool.z1[0] + r[k + 3]  # on the first cap line
+    d[k + 4] = tool.z1[-1] + r[k + 4]  # on the tip's cap line
+    d[k + 5] = np.hypot(tool.z1[0], tool.radius[0]) + r[k + 5]  # corner circle
+    d[k + 6] = tool.radius[-1] + r[k + 6]  # top line at theta = pi/2
+    d[k + 7] = r[k + 7] = 1.0
+    return d, r
+
+
+@pytest.mark.parametrize("name", sorted(_TOOLS))
+class TestCylinderMajorKernels:
+    """The cylinder-major kernels are bit-identical to the broadcast forms."""
+
+    def test_candidates(self, name):
+        t = _TOOLS[name]
+        d, r = _rows(t)
+        _assert_bits(
+            _candidate_cos(t.z0, t.z1, t.radius, d, r),
+            _candidate_cos_ref(t.z0, t.z1, t.radius, d, r),
+        )
+
+    def test_membership(self, name):
+        t = _TOOLS[name]
+        d, r = _rows(t)
+        rng = np.random.default_rng(11)
+        samples = rng.uniform(-1.2, 1.2, (len(d), 9))
+        samples[:, 0] = 1.0
+        samples[:, 1] = -1.0
+        samples[:, 2] = 0.0
+        cand = -np.sort(-_candidate_cos_ref(t.z0, t.z1, t.radius, d, r), axis=1)
+        mids = 0.5 * (cand[:, :-1] + cand[:, 1:])
+        for c in (samples, mids):
+            _assert_bits(
+                _member_cos(t.z0, t.z1, t.radius, d, r, c),
+                _member_cos_ref(t.z0, t.z1, t.radius, d, r, c),
+            )
+
+    def test_bounds(self, name):
+        t = _TOOLS[name]
+        d, r = _rows(t)
+        lo, hi = ica_bounds_cos(t.z0, t.z1, t.radius, d, r)
+        lo_ref, hi_ref = _ica_bounds_cos_ref(t.z0, t.z1, t.radius, d, r)
+        _assert_bits(lo, lo_ref)
+        _assert_bits(hi, hi_ref)

@@ -261,6 +261,15 @@ class TestQuerySpec:
         with pytest.raises(ValueError, match="grid"):
             QuerySpec(scene="d", grid=(0, 8))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_pivots_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            QuerySpec(scene="d", pivot=(bad, 0, 0))
+        with pytest.raises(ValueError, match="finite"):
+            QuerySpec(scene="d", pivots=((0, 0, 1), (0, bad, 1)))
+        with pytest.raises(ValueError, match="finite"):
+            QuerySpec.from_dict({"scene": "d", "pivot": [0, 0, bad]})
+
     def test_roundtrip(self):
         spec = QuerySpec(scene="d", grid=(4, 6), method="MICA", pivot=(1, 2, 3))
         again = QuerySpec.from_dict(spec.to_dict())

@@ -144,6 +144,29 @@ class TestEndpoints:
         assert status == 400
         assert "unknown query field(s): backend" in body["error"]
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_pivot_400(self, server, sphere_scene, bad):
+        # Python's json module accepts the bare NaN/Infinity tokens, so
+        # the rejection has to come from the scene and query validation.
+        base, digest = server
+        buf = io.BytesIO()
+        save_octree(sphere_scene.tree, buf)
+        npz = base64.b64encode(buf.getvalue()).decode()
+        bodies = [
+            ("/v1/scenes", f'{{"npz_b64": "{npz}", "pivot": [{bad}, 0, 21]}}'),
+            ("/v1/cd", f'{{"scene": "{digest}", "grid": [8, 8], "pivot": [{bad}, 0, 0]}}'),
+            ("/v1/cd", f'{{"scene": "{digest}", "pivots": [[0, 0, 21], [0, {bad}, 0]]}}'),
+        ]
+        for route, raw in bodies:
+            req = urllib.request.Request(
+                f"{base}{route}", data=raw.encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as exc:
+                urllib.request.urlopen(req, timeout=60)
+            assert exc.value.code == 400, route
+            assert "finite" in json.loads(exc.value.read())["error"], route
+
     def test_non_json_body_400(self, server):
         base, _ = server
         req = urllib.request.Request(
