@@ -27,65 +27,58 @@ __all__ = ["PBox", "PBoxOpt", "PICA", "MICA", "AICA", "METHODS", "method_by_name
 
 
 def _box_check(rt: Runtime, wave: Wave, mask: np.ndarray) -> np.ndarray:
-    """Exact whole-tool CHECKBOX on the masked pairs; returns (F,) bool
+    """Exact whole-tool CHECKBOX on the masked pairs; returns (size,) bool
     (False outside the mask) and charges one box check per tested pair.
 
-    On a panel level (``wave.ctx`` set) the per-pair geometry is gathered
-    from the level's panel rows and the block's per-thread frame cache
+    On a product wave (``wave.ctx`` set) the per-pair geometry is
+    gathered from the panel rows and the block's per-thread frame cache
     instead of being rebuilt inside the kernel — the frame depends only
     on the thread's direction, and
-    :func:`repro.geometry.frames.frame_from_axis` is elementwise per row,
-    so gathered frames are bit-equal to recomputed ones and the kernel's
-    verdicts are unchanged.
+    :func:`repro.geometry.frames.frame_from_axis` is elementwise per
+    row, so gathered frames are bit-equal to recomputed ones and the
+    kernel's verdicts are unchanged.
     """
     out = np.zeros(wave.size, dtype=bool)
-    if not mask.any():
+    n_masked = np.count_nonzero(mask)
+    if not n_masked:
         return out
     tool = rt.scene.tool
     ctx = wave.ctx
+    screen = True
+    frames = None
     if ctx is None:
-        out[mask] = tool_aabb_batch(
+        sel = np.flatnonzero(mask)
+        centers, dirs = wave.centers[sel], wave.dirs[sel]
+    else:
+        if ctx.want_screen_panel(n_masked):
+            # Dense mask: the sphere screen is evaluated per (node,
+            # thread) cell once for the whole block; the rectangle slices
+            # its verdicts and only the undecided band runs the exact
+            # rotate/clip/project kernel.
+            scr_hit, scr_und = ctx.box_screen_panel()
+            np.logical_and(scr_hit[wave.rect].ravel(), mask, out=out)
+            sel = np.flatnonzero(scr_und[wave.rect].ravel() & mask)
+            screen = False
+        else:
+            # A sparse mask (corner fallback, cull survivors) skips the
+            # panel: the masked cells' gathered geometry runs the
+            # reference per-pair kernel, screen included — the same rows
+            # through the same code.
+            sel = np.flatnonzero(mask)
+        centers, dirs, frames = ctx.cell_geometry(wave, sel)
+    if len(sel):
+        out[sel] = tool_aabb_batch(
             rt.scene.pivot,
-            wave.dirs[mask],
-            wave.centers[mask],
+            dirs,
+            centers,
             wave.half,
             tool.z0,
             tool.z1,
             tool.radius,
+            screen=screen,
+            frames=frames,
         )
-    else:
-        sel = np.flatnonzero(mask)
-        screen = True
-        if ctx.want_screen_panel(len(sel)):
-            # Dense mask: the sphere screen is evaluated per (node,
-            # thread) cell once for the whole level; each masked pair
-            # gathers its verdict and only the undecided band runs the
-            # exact rotate/clip/project kernel (on gathered geometry).
-            scr_hit, scr_und = ctx.box_screen_panel()
-            flat = ctx.pair_flat()[wave.offset : wave.offset + wave.size]
-            np.take(scr_hit.reshape(-1), flat, out=out)
-            out &= mask
-            und = np.take(scr_und.reshape(-1), flat)
-            und &= mask
-            sel = np.flatnonzero(und)
-            screen = False
-        # A sparse mask (corner fallback, cull survivors) skips the panel:
-        # the masked pairs' gathered geometry runs the reference per-pair
-        # kernel, screen included — the same rows through the same code.
-        if len(sel):
-            centers, dirs, frames = ctx.pair_geometry_subset(wave, sel)
-            out[sel] = tool_aabb_batch(
-                rt.scene.pivot,
-                dirs,
-                centers,
-                wave.half,
-                tool.z0,
-                tool.z1,
-                tool.radius,
-                screen=screen,
-                frames=frames,
-            )
-    rt.counters.add_threads("box_checks", wave.threads[mask], rt.counters.n_threads)
+    wave.charge(rt.counters, "box_checks", mask)
     return out
 
 
@@ -115,8 +108,7 @@ class PBoxOpt:
 
     def decide(self, rt: Runtime, wave: Wave) -> np.ndarray:
         tool = rt.scene.tool
-        ctx = wave.ctx
-        if ctx is None:
+        if wave.ctx is None:
             possible = tool_aabb_cull_batch(
                 rt.scene.pivot,
                 wave.dirs,
@@ -127,11 +119,9 @@ class PBoxOpt:
                 tool.radius,
             )
         else:
-            # Panel mode: one cull verdict per (unique node, block thread)
-            # cell; every pair of the wave gathers its cell.
-            flat = ctx.pair_flat()[wave.offset : wave.offset + wave.size]
-            possible = np.take(ctx.cull_panel().reshape(-1), flat)
-        rt.counters.add_threads("cull_checks", wave.threads, rt.counters.n_threads)
+            # Product wave: the rectangle of the block's cull panel.
+            possible = wave.ctx.cull_panel()[wave.rect].ravel()
+        wave.charge(rt.counters, "cull_checks")
         hit = _box_check(rt, wave, possible)
         return np.where(hit, OUT_YES, OUT_NO)
 
@@ -148,14 +138,31 @@ class _IcaBase:
     needs_table = False
 
     def decide(self, rt: Runtime, wave: Wave) -> np.ndarray:
-        if wave.ctx is not None:
-            return self._decide_panel(rt, wave)
-        return self._decide_ref(rt, wave)
+        expand = self.expand_corners and wave.level < rt.scene.tree.depth
+        if wave.ctx is None:
+            outcomes, corner, memo = self._classify_ref(rt, wave, expand)
+        else:
+            # Product wave: slice the block's CHECKICA panel, whose
+            # ``rel . dir`` einsum accumulates over the coordinate axis in
+            # the per-pair order, so cells are bit-equal to the reference.
+            # Memo vs fly is a property of the row (stored or virtual).
+            out_mat, corner_mat, memo_stored = wave.ctx.ica_outcome_panel(
+                self.use_memo, expand
+            )
+            outcomes = out_mat[wave.rect].flatten()
+            corner = corner_mat[wave.rect].ravel()
+            memo = wave.idx >= 0 if memo_stored else np.zeros(len(wave.idx), dtype=bool)
+        wave.charge(rt.counters, "ica_memo_checks", memo)
+        wave.charge(rt.counters, "ica_fly_checks", ~memo)
+        wave.charge(rt.counters, "corner_cases", corner)
+        if not expand and corner.any():
+            hit = _box_check(rt, wave, corner)
+            outcomes[corner & hit] = OUT_YES
+        return outcomes
 
-    def _decide_ref(self, rt: Runtime, wave: Wave) -> np.ndarray:
-        """The v1 reference kernel: everything computed per (sub-)wave."""
+    def _classify_ref(self, rt: Runtime, wave: Wave, expand: bool):
+        """The v1 reference kernel: ``(outcomes, corner, memo)`` per pair."""
         scene = rt.scene
-        n_threads = rt.counters.n_threads
 
         rel = wave.centers - scene.pivot
         dist = np.sqrt(np.einsum("ij,ij->i", rel, rel))
@@ -173,7 +180,6 @@ class _IcaBase:
             memo = wave.idx >= 0
         if memo.any():
             cos1[memo], cos2[memo] = rt.table.lookup(wave.level, wave.idx[memo])
-            rt.counters.add_threads("ica_memo_checks", wave.threads[memo], n_threads)
         fly = ~memo
         if fly.any():
             # The cone bounds depend only on (node center distance, cell
@@ -187,63 +193,14 @@ class _IcaBase:
             lo, hi = checkica_bounds_cos(scene.tool, dist[first], wave.half)
             cos1[fly] = lo[inverse]
             cos2[fly] = hi[inverse]
-            rt.counters.add_threads("ica_fly_checks", wave.threads[fly], n_threads)
 
         yes = cos_angle >= cos1
-        no = ~yes & (cos_angle <= cos2)
-        corner = ~yes & ~no
-        if corner.any():
-            rt.counters.add_threads("corner_cases", wave.threads[corner], n_threads)
-
+        corner = ~yes & ~(cos_angle <= cos2)
         outcomes = np.full(wave.size, OUT_NO, dtype=np.uint8)
         outcomes[yes] = OUT_YES
-
-        if self.expand_corners and wave.level < scene.tree.depth:
+        if expand:
             outcomes[corner] = OUT_EXPAND
-        elif corner.any():
-            hit = _box_check(rt, wave, corner)
-            outcomes[corner & hit] = OUT_YES
-        return outcomes
-
-    def _decide_panel(self, rt: Runtime, wave: Wave) -> np.ndarray:
-        """The panel kernel: the full (unique node x block thread) CHECKICA
-        matrix is evaluated once per level and every pair gathers its cell.
-
-        The panel einsum accumulates ``rel . dir`` over the coordinate
-        axis in the same order as the per-pair einsum, so the gathered
-        cosines — and therefore outcomes — are bit-equal to
-        :meth:`_decide_ref`.  Counters are charged with the same per-pair
-        masks in the same order (memo, fly, corner, box).
-        """
-        ctx = wave.ctx
-        n = wave.size
-        sl = slice(wave.offset, wave.offset + n)
-        out_mat, corner_mat, memo_stored = ctx.ica_outcome_panel(
-            self.use_memo, self.expand_corners
-        )
-        flat = ctx.pair_flat()[sl]
-        outcomes = np.take(out_mat.reshape(-1), flat)
-        corner = np.take(corner_mat.reshape(-1), flat)
-
-        n_threads = rt.counters.n_threads
-        if memo_stored:
-            memo = wave.idx >= 0
-        else:
-            memo = np.zeros(n, dtype=bool)
-        if memo.any():
-            rt.counters.add_threads("ica_memo_checks", wave.threads[memo], n_threads)
-        fly = ~memo
-        if fly.any():
-            rt.counters.add_threads("ica_fly_checks", wave.threads[fly], n_threads)
-        if corner.any():
-            rt.counters.add_threads("corner_cases", wave.threads[corner], n_threads)
-
-        if self.expand_corners and wave.level < rt.scene.tree.depth:
-            pass  # corners are already OUT_EXPAND in the panel
-        elif corner.any():
-            hit = _box_check(rt, wave, corner)
-            outcomes[corner & hit] = OUT_YES
-        return outcomes
+        return outcomes, corner, memo
 
 
 class PICA(_IcaBase):

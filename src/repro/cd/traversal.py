@@ -102,8 +102,8 @@ class TraversalConfig:
     the number of orientations processed per frontier sweep;
     ``max_pairs`` bounds how many (thread, node) pairs a single
     ``method.decide`` call may see — larger frontiers are classified in
-    chunks, capping the peak working set of a level (the decision
-    kernels allocate a dozen temporaries per pair).
+    chunks (v2's base level in panel rectangles), capping the per-call
+    temporaries (the decision kernels allocate a dozen per pair).
 
     ``workers`` selects the execution engine: ``1`` is the serial
     reference path, ``N > 1`` shards the workload over ``N`` OS
@@ -111,8 +111,9 @@ class TraversalConfig:
     defers to the ``REPRO_WORKERS`` environment variable (itself
     defaulting to 1).  Results are byte-identical for any worker count.
 
-    ``engine`` picks the frontier implementation: ``"v2"`` (workspace
-    frontier plus panel kernels on dense levels, the default) or
+    ``engine`` picks the frontier implementation: ``"v2"`` (each
+    block's base level decided as a panel product, workspace frontier
+    below it; the default) or
     ``"v1"`` (the allocating reference path).  ``None`` defers to
     ``REPRO_ENGINE`` (default v2).  Maps and counters are byte-identical
     between engines — the choice only affects host wall-clock time.
@@ -128,32 +129,52 @@ class TraversalConfig:
 
 @dataclass
 class Wave:
-    """One frontier level's pair arrays, as seen by a method's decide().
+    """One frontier level's pairs, as seen by a method's decide().
 
-    ``ctx`` — set only by the v2 engine, and only on levels that run the
-    panel kernels — is the level's shared :class:`LevelContext`;
-    ``offset`` is this (sub-)wave's start within the context's
-    full-level arrays (``_decide_chunked`` slices waves, and chunk
-    ``[a:b)`` of the level maps to ``ctx`` rows ``[a:b)``).  Waves
-    without a context (v1, v2 levels that miss the panel gate, direct
-    kernel tests, the voxel-mapping pricer) carry per-pair ``centers``
-    and ``dirs`` and take the methods' reference kernels.
+    A *pair wave* (``ctx`` None: v1, every v2 level below the base
+    level, direct kernel tests, the voxel-mapping pricer) lists one pair
+    per entry of ``threads``, ``codes``, ``idx``, ``status``,
+    ``centers`` and ``dirs``, and takes the methods' reference kernels.
+
+    A *product wave* (``ctx`` set: the base level of a v2 thread block)
+    is the rectangle ``rect = (rows, cols)`` of the block's ``(base cell
+    x thread)`` panels (see :class:`LevelContext`): ``codes``, ``idx``
+    and ``status`` hold its rows, ``threads`` its columns, ``centers``
+    and ``dirs`` are None, and pair ``(r, c)`` is entry
+    ``r * len(threads) + c`` of the outcome vector.
     """
 
     level: int
-    threads: np.ndarray  # (F,) global thread (orientation) indices
-    codes: np.ndarray  # (F,) uint64 Morton codes at `level`
-    idx: np.ndarray  # (F,) stored-node index at `level`, -1 if virtual
-    status: np.ndarray  # (F,) uint8 node status (virtual nodes are FULL)
-    centers: np.ndarray | None  # (F, 3) node centers (None in panel mode)
+    threads: np.ndarray  # (F,) global thread (orientation) indices; product: (C,)
+    codes: np.ndarray  # (F,) uint64 Morton codes at `level`; product: (R,)
+    idx: np.ndarray  # (F,) stored-node index at `level`, -1 if virtual; product: (R,)
+    status: np.ndarray  # (F,) uint8 node status (virtual nodes are FULL); product: (R,)
+    centers: np.ndarray | None  # (F, 3) node centers (None on a product wave)
     half: float  # cell half-edge at `level`
-    dirs: np.ndarray | None  # (F, 3) tool direction per pair (None in panel mode)
-    ctx: "LevelContext | None" = None  # v2 panel level: shared per-(block, level) data
-    offset: int = 0  # start row of this sub-wave within ctx's arrays
+    dirs: np.ndarray | None  # (F, 3) tool direction per pair (None on a product wave)
+    ctx: "LevelContext | None" = None  # product wave: the block's shared panels
+    rect: tuple[slice, slice] | None = None  # product wave: (rows, cols) of the panels
 
     @property
     def size(self) -> int:
+        if self.ctx is not None:
+            return len(self.idx) * len(self.threads)
         return len(self.threads)
+
+    def charge(self, counters: ThreadCounters, name: str, mask=None) -> None:
+        """Count one ``name`` event per pair (per pair where ``mask`` is set).
+
+        On a product wave ``mask`` has one entry per pair or one per row
+        (covering the row's every column); each column's count is added
+        to its thread once.
+        """
+        if self.ctx is None:
+            sel = self.threads if mask is None else self.threads[mask]
+            counters.add_threads(name, sel, counters.n_threads)
+            return
+        rows = len(self.idx)
+        n = rows if mask is None else np.count_nonzero(np.reshape(mask, (rows, -1)), axis=0)
+        getattr(counters, name)[self.threads] += n
 
 
 @dataclass
@@ -201,11 +222,11 @@ class _RunCache:
     per-pair originals, which is what keeps maps and counters
     byte-identical between engines.
 
-    Per-level node caches are built lazily by the first panel level that
-    needs them; the panel gate only admits frontiers at least as wide as
-    the stored level, so computing every stored node never costs more
+    Per-level node caches are built lazily by the first product (base)
+    level that needs them; that level pairs every stored node with every
+    thread of a block, so computing every stored node never costs more
     than the per-pair path.  Once built, a cache serves every later
-    block, chunk and level revisit for free.
+    block and rectangle for free.
     """
 
     __slots__ = (
@@ -284,42 +305,26 @@ class _RunCache:
         return self._cyl
 
 
-#: Panel-mode routing guards (see LevelContext.prepare_panels).  Pure
-#: wall-clock heuristics: both sides of the guard are bit-equal, only
-#: speed differs.  A panel pays O(U * B) where the v1 per-pair kernels
-#: pay O(F); require the frontier to be non-trivial and the panel to
-#: stay within a small factor of the pair count.
-_PANEL_MIN_PAIRS = 4096
-_PANEL_OVERSAMPLE = 2.0
-
-
 class LevelContext:
-    """Shared data of one (block, level) of the v2 engine, computed lazily.
+    """The base level of one v2 thread block, decided as a product.
 
-    One instance spans *every* ``decide`` chunk of a frontier level, so
-    anything computed here is paid once per level instead of once per
-    ``max_pairs`` chunk.  Pair-indexed arrays are full-level (length
-    ``F``); chunked sub-waves address them through ``Wave.offset``.
+    Every thread of a block starts on the same base cells
+    (:func:`initial_frontier`), so the level's pairs are the full
+    ``(base cell x block thread)`` product, and v2 never writes them out
+    as per-pair arrays.  Panel rows are the base cells in
+    ``initial_frontier`` order: stored cells first with ``idx ==
+    arange``, so the level caches and ``table.cos1/cos2[level]`` serve
+    them as they are, then the virtual cells.  Columns are the block's
+    threads.  The kernels' core quantities (the CHECKICA cosine test,
+    the CHECKBOX sphere screen, the optimized-PBox cull verdict) are
+    evaluated on ``(U, B)`` matrices once per block, and methods decide
+    rectangles of them (product waves, see :class:`Wave`).
 
-    Dedup keys: stored pairs use ``idx`` (the stored-node index — already
-    unique per node, no sort needed); virtual pairs (``idx == -1``,
-    AICA's expanded FULL octants and the above-base-level solid
-    expansion) are deduplicated with one ``np.unique`` over their —
-    typically small — code subset.
-
-    **Panels.**  When a level's frontier is dense — the pairs cover the
-    level's unique nodes many times over — the kernels' core quantities
-    (the CHECKICA cosine test, the CHECKBOX screening distance, the
-    optimized-PBox cull verdict) are evaluated on a ``(unique node,
-    block thread)`` matrix once per level and each pair merely gathers
-    its ``(node, thread)`` cell.  Every matrix element is produced by
-    exactly the per-pair formula (elementwise ops and order-preserving
-    ``einsum`` contractions), so gathered values are bit-equal to the
-    reference kernels' and outcomes/counters stay byte-identical.  A
-    level that misses the panel gate (``_PANEL_*`` guards) runs the v1
-    reference kernels instead; the gate is a pure routing decision
-    between two bit-equal computations, so the thresholds are free to
-    be tuned.
+    Every matrix element is produced by exactly the per-pair formula
+    (elementwise ops and order-preserving ``einsum`` contractions), so a
+    cell is bit-equal to what the reference kernel computes for its
+    ``(node, thread)`` pair and outcomes and counters stay
+    byte-identical to v1.
     """
 
     __slots__ = (
@@ -328,16 +333,10 @@ class LevelContext:
         "half",
         "t0",
         "t1",
-        "threads",
         "codes",
         "idx",
-        "_vsel",
-        "_vuq",
-        "_vinv",
-        "_uloc",
-        "_urows",
-        "_n_us",
-        "_flat",
+        "status",
+        "n_stored",
         "_pnodes",
         "_pbounds",
         "_ica_panel",
@@ -345,201 +344,101 @@ class LevelContext:
         "_cullmat",
     )
 
-    def __init__(self, rt, level, half, t0, t1, threads, codes, idx):
+    def __init__(self, rt, level, t0, t1, codes, idx, status):
         self.rt = rt
         self.level = level
-        self.half = half
+        self.half = rt.scene.tree.cell_half(level)
         self.t0 = t0
         self.t1 = t1
-        self.threads = threads
         self.codes = codes
         self.idx = idx
-        self._vsel = None
-        self._vuq = None
-        self._vinv = None
-        self._uloc = None
-        self._urows = None
-        self._n_us = 0
-        self._flat = None
+        self.status = status
+        self.n_stored = rt.scene.tree.levels[level].n
         self._pnodes = None
         self._pbounds = None
         self._ica_panel = None
         self._screen = None
         self._cullmat = None
 
-    # -- virtual pairs -----------------------------------------------------
-
-    def _virtual(self):
-        """(selector, unique codes, inverse) of the virtual pairs."""
-        if self._vsel is None:
-            self._vsel = np.flatnonzero(self.idx < 0)
-            if len(self._vsel):
-                self._vuq, self._vinv = np.unique(
-                    self.codes[self._vsel], return_inverse=True
-                )
-            else:
-                self._vuq = np.zeros(0, dtype=np.uint64)
-                self._vinv = np.zeros(0, dtype=np.intp)
-        return self._vsel, self._vuq, self._vinv
-
-    # -- panels: (unique node x block thread) matrices ----------------------
-
-    def prepare_panels(self) -> bool:
-        """Decide whether this level runs on the panel fast path.
-
-        Builds the pair -> panel-row map with a presence/cumsum
-        compaction over the stored level (no sort): stored pairs map
-        through ``idx``, virtual pairs append their unique codes as
-        extra rows.  Eligibility: the frontier is non-trivial
-        (``_PANEL_MIN_PAIRS``), at least as wide as the stored level (so
-        the per-node side deduplicates), and the panel is not much
-        larger than the pair count (so the per-thread side does not
-        overshoot the per-pair cost).
-        """
-        rt = self.rt
-        F = len(self.codes)
-        lev_n = rt.scene.tree.levels[self.level].n
-        B = self.t1 - self.t0
-        if F < _PANEL_MIN_PAIRS or lev_n > F:
-            return False
-        vsel, vuq, vinv = self._virtual()
-        ws = rt.workspace
-        # Length n+1: scattering through idx sends the virtual rows'
-        # -1 into the sentinel slot instead of a real node.
-        presence = ws.take("panel.presence", lev_n + 1, bool)
-        presence[:] = False
-        presence[self.idx] = True
-        presence = presence[:lev_n]
-        nus = 0
-        rowmap = None
-        if lev_n:
-            rowmap = ws.take("panel.rowmap", lev_n, np.intp)
-            np.cumsum(presence, out=rowmap)
-            nus = int(rowmap[-1])
-            np.subtract(rowmap, 1, out=rowmap)
-        if (nus + len(vuq)) * B > _PANEL_OVERSAMPLE * F:
-            return False
-        u_loc = ws.take("panel.u_loc", F, np.intp)
-        if nus:
-            # Virtual rows read a garbage entry; patched below.
-            np.take(rowmap, self.idx, out=u_loc)
-        if len(vsel):
-            u_loc[vsel] = nus + vinv
-        self._urows = np.flatnonzero(presence)
-        self._uloc = u_loc
-        self._n_us = nus
-        return True
-
-    def pair_flat(self) -> np.ndarray:
-        """(F,) flat ``row * B + thread_col`` index of each pair's panel cell."""
-        if self._flat is None:
-            ws = self.rt.workspace
-            F = len(self.codes)
-            B = self.t1 - self.t0
-            flat = ws.take("panel.flat", F, np.intp)
-            np.subtract(self.threads, self.t0, out=flat)
-            tmp = ws.take("panel.flat_tmp", F, np.intp)
-            np.multiply(self._uloc, B, out=tmp)
-            np.add(flat, tmp, out=flat)
-            self._flat = flat
-        return self._flat
+    # -- panels: (base cell x block thread) matrices ------------------------
 
     def _panel_nodes(self):
-        """Per panel-row node geometry: ``(centers, rel, dist)``, each (U, ...).
+        """Per row node geometry: ``(centers, rel, dist)``, each (U, ...).
 
-        Stored rows gather the level caches; virtual rows append their
-        deduplicated centers/distances — all values bit-equal to the
-        per-pair formulas (the caches are built with them).
+        Stored rows are the level caches as they are; virtual rows
+        append their centers and distances by the same formulas.
         """
         if self._pnodes is None:
             rt = self.rt
-            _, vuq, _ = self._virtual()
-            nus = self._n_us
-            U = nus + len(vuq)
-            ws = rt.workspace
-            centers_w = ws.take("panel.centers", (U, 3))
-            dist_w = ws.take("panel.dist", U)
-            if nus:
-                lev_centers = rt.cache.level_centers(self.level)
-                lev_dist = rt.cache.level_dist(self.level)
-                np.take(lev_centers, self._urows, axis=0, out=centers_w[:nus])
-                np.take(lev_dist, self._urows, out=dist_w[:nus])
-            if len(vuq):
-                vcenters = rt.scene.tree.centers_of_codes(self.level, vuq)
-                centers_w[nus:] = vcenters
+            centers = rt.cache.level_centers(self.level)
+            dist = rt.cache.level_dist(self.level)
+            vcodes = self.codes[self.n_stored :]
+            if len(vcodes):
+                vcenters = rt.scene.tree.centers_of_codes(self.level, vcodes)
                 vrel = vcenters - rt.scene.pivot
-                dist_w[nus:] = np.sqrt(np.einsum("ij,ij->i", vrel, vrel))
-            rel_w = ws.take("panel.rel", (U, 3))
-            np.subtract(centers_w, rt.scene.pivot, out=rel_w)
-            self._pnodes = (centers_w, rel_w, dist_w)
+                centers = np.concatenate([centers, vcenters])
+                dist = np.concatenate([dist, np.sqrt(np.einsum("ij,ij->i", vrel, vrel))])
+            self._pnodes = (centers, centers - rt.scene.pivot, dist)
         return self._pnodes
 
     def _panel_bounds(self, use_memo: bool):
-        """Per panel-row CHECKICA cone bounds ``(cos1, cos2, memo_stored)``."""
+        """Per row CHECKICA cone bounds ``(cos1, cos2, memo_stored)``."""
         if self._pbounds is None:
             rt = self.rt
             tool = rt.scene.tool
-            _, _, dist_w = self._panel_nodes()
-            vuq = self._vuq
-            nus = self._n_us
-            U = len(dist_w)
-            ws = rt.workspace
-            cos1 = ws.take("panel.cos1", U)
-            cos2 = ws.take("panel.cos2", U)
+            _, _, dist = self._panel_nodes()
             table = rt.table
             memo_stored = bool(
                 use_memo and table is not None and table.has_level(self.level)
             )
             if memo_stored:
-                if nus:
-                    c1, c2 = table.lookup(self.level, self._urows)
-                    cos1[:nus] = c1
-                    cos2[:nus] = c2
-                if len(vuq):
-                    cos1[nus:], cos2[nus:] = checkica_bounds_cos(
-                        tool, dist_w[nus:], self.half
-                    )
+                ns = self.n_stored
+                cos1, cos2 = table.cos1[self.level], table.cos2[self.level]
+                if len(dist) > ns:
+                    v1, v2 = checkica_bounds_cos(tool, dist[ns:], self.half)
+                    cos1 = np.concatenate([cos1, v1])
+                    cos2 = np.concatenate([cos2, v2])
             else:
-                cos1[:], cos2[:] = checkica_bounds_cos(tool, dist_w, self.half)
+                cos1, cos2 = checkica_bounds_cos(tool, dist, self.half)
             self._pbounds = (cos1, cos2, memo_stored)
         return self._pbounds
 
-    def ica_outcome_panel(self, use_memo: bool, expand_corners: bool):
+    def ica_outcome_panel(self, use_memo: bool, expand: bool):
         """CHECKICA outcomes per panel cell: ``(out_mat, corner_mat, memo)``.
 
         ``out_mat[u, t]`` is the outcome pair ``(node u, thread t)``
         would get from the reference kernel (corner cells hold
-        ``OUT_EXPAND`` when the method expands corners above leaf level,
-        else ``OUT_NO`` pending the box fallback); ``corner_mat`` marks
-        the corner band.  Computed once per (block, level); every decide
-        chunk gathers.
+        ``OUT_EXPAND`` when ``expand``, else ``OUT_NO`` pending the box
+        fallback); ``corner_mat`` marks the corner band.  Computed once
+        per block; every rectangle slices it.
         """
         if self._ica_panel is None:
             rt = self.rt
             ws = rt.workspace
-            _, rel_w, dist_w = self._panel_nodes()
-            U = len(dist_w)
+            _, rel, dist = self._panel_nodes()
+            U = len(dist)
             B = self.t1 - self.t0
             dirs = rt.all_dirs[self.t0 : self.t1]
             cos = ws.take("panel.cos", (U, B))
-            np.einsum("uj,tj->ut", rel_w, dirs, out=cos)
+            np.einsum("uj,tj->ut", rel, dirs, out=cos)
             safe = ws.take("panel.safe", U)
-            np.maximum(dist_w, 1e-300, out=safe)
+            np.maximum(dist, 1e-300, out=safe)
             np.divide(cos, safe[:, None], out=cos)
             np.clip(cos, -1.0, 1.0, out=cos)
-            cos[dist_w == 0.0] = 1.0
-            cos1_w, cos2_w, memo_stored = self._panel_bounds(use_memo)
+            cos[dist == 0.0] = 1.0
+            cos1, cos2, memo_stored = self._panel_bounds(use_memo)
             yes = ws.take("panel.yes", (U, B), bool)
-            np.greater_equal(cos, cos1_w[:, None], out=yes)
+            np.greater_equal(cos, cos1[:, None], out=yes)
             corner = ws.take("panel.corner", (U, B), bool)
             # corner == ~yes & ~(cos <= cos2) (the reference's ~yes & ~no).
-            np.less_equal(cos, cos2_w[:, None], out=corner)
+            np.less_equal(cos, cos2[:, None], out=corner)
             np.logical_or(corner, yes, out=corner)
             np.logical_not(corner, out=corner)
             out_mat = ws.take("panel.out", (U, B), np.uint8)
             np.multiply(yes, OUT_YES, out=out_mat)
-            if expand_corners and self.level < rt.scene.tree.depth:
-                out_mat[corner] = OUT_EXPAND
+            if expand:
+                # yes and corner are disjoint: adding sets the corner cells.
+                out_mat += corner * OUT_EXPAND
             self._ica_panel = (out_mat, corner, memo_stored)
         return self._ica_panel
 
@@ -557,14 +456,14 @@ class LevelContext:
             rt = self.rt
             ws = rt.workspace
             tool = rt.scene.tool
-            _, rel_w, dist_w = self._panel_nodes()
-            U = len(dist_w)
+            _, rel, _ = self._panel_nodes()
+            U = len(rel)
             B = self.t1 - self.t0
             dirs = rt.all_dirs[self.t0 : self.t1]
             axial = ws.take("panel.axial", (U, B))
-            np.einsum("uj,tj->ut", rel_w, dirs, out=axial)
+            np.einsum("uj,tj->ut", rel, dirs, out=axial)
             rr = ws.take("panel.rr", U)
-            np.einsum("ij,ij->i", rel_w, rel_w, out=rr)
+            np.einsum("ij,ij->i", rel, rel, out=rr)
             radial = ws.take("panel.radial", (U, B))
             np.multiply(axial, axial, out=radial)
             np.subtract(rr[:, None], radial, out=radial)
@@ -589,18 +488,15 @@ class LevelContext:
     def want_screen_panel(self, n_masked: int) -> bool:
         """Whether the CHECKBOX screen should run on the whole panel.
 
-        Worth it when the matrix already exists (gathering is free) or
-        the mask covers enough of the panel that one per-cell pass
-        undercuts the per-pair pass — corner/cull masks are usually
-        sparse, and for those the gathered per-pair screen wins.  Both
-        paths produce bit-equal verdicts, so this is purely a routing
-        choice.
+        Worth it when the matrix already exists (slicing is free) or the
+        mask covers enough of the panel that one per-cell pass undercuts
+        the per-pair pass — corner/cull masks are usually sparse, and for
+        those the gathered per-pair screen wins.  Both paths produce
+        bit-equal verdicts, so this is purely a routing choice.
         """
         if self._screen is not None:
             return True
-        _, vuq, _ = self._virtual()
-        cells = (self._n_us + len(vuq)) * (self.t1 - self.t0)
-        return 2 * n_masked >= cells
+        return 2 * n_masked >= len(self.codes) * (self.t1 - self.t0)
 
     def cull_panel(self) -> np.ndarray:
         """Optimized-PBox cull verdicts per panel cell ((U, B) bool).
@@ -613,13 +509,13 @@ class LevelContext:
             rt = self.rt
             ws = rt.workspace
             lo, hi, ulo, uhi = self.block_cyl_aabbs()
-            centers_w, _, _ = self._panel_nodes()
-            U = len(centers_w)
+            centers, _, _ = self._panel_nodes()
+            U = len(centers)
             B = self.t1 - self.t0
             blo = ws.take("panel.blo", (U, 3))
-            np.subtract(centers_w, self.half, out=blo)
+            np.subtract(centers, self.half, out=blo)
             bhi = ws.take("panel.bhi", (U, 3))
-            np.add(centers_w, self.half, out=bhi)
+            np.add(centers, self.half, out=bhi)
             cand = (
                 (ulo[None, :, :] <= bhi[:, None, :]) & (blo[:, None, :] <= uhi[None, :, :])
             ).all(axis=-1)
@@ -633,20 +529,18 @@ class LevelContext:
             self._cullmat = possible
         return self._cullmat
 
-    def pair_geometry_subset(self, wave, sel: np.ndarray):
-        """``(centers, dirs, frames)`` of sub-wave rows ``sel`` (gathers only).
+    def cell_geometry(self, wave: Wave, sel: np.ndarray):
+        """``(centers, dirs, frames)`` of product-wave cells ``sel`` (gathers only).
 
-        Used by the panel-mode CHECKBOX fallback, where full per-pair
-        centers/dirs were never materialized; the gathered rows are
-        bit-equal to what the reference path would have sliced.
+        Used by the exact CHECKBOX, whose per-pair geometry the product
+        level never materializes; each gathered row is bit-equal to what
+        the reference path builds for that pair.
         """
-        g = wave.offset + sel
-        centers_w, _, _ = self._panel_nodes()
-        centers = centers_w[self._uloc[g]]
-        tsel = self.threads[g]
-        dirs = self.rt.all_dirs[tsel]
-        frames = self.block_frames()[tsel - self.t0]
-        return centers, dirs, frames
+        rows, cols = np.divmod(sel, len(wave.threads))
+        rows += wave.rect[0].start
+        cols += wave.rect[1].start
+        centers, _, _ = self._panel_nodes()
+        return centers[rows], self.rt.all_dirs[self.t0 + cols], self.block_frames()[cols]
 
     # -- per-thread geometry (PBox / PBoxOpt hoists) -----------------------
 
@@ -658,13 +552,39 @@ class LevelContext:
         """Per-thread cylinder AABBs ``(lo, hi, union_lo, union_hi)``."""
         return self.rt.cache.block_cyl_aabbs(self.rt.all_dirs, self.t0, self.t1)
 
-    # -- observability ------------------------------------------------------
+    # -- the next level -----------------------------------------------------
 
-    def dedup_stats(self) -> tuple[int, float]:
-        """(unique panel rows, pairs-per-row ratio) — tracing only."""
-        _, vuq, _ = self._virtual()
-        n_uniq = self._n_us + len(vuq)
-        return n_uniq, round(len(self.codes) / max(n_uniq, 1), 2)
+    def advance(self, outcomes: np.ndarray, collides: np.ndarray):
+        """The next level's frontier from the block's ``(U, B)`` outcomes.
+
+        Collisions and growth are read straight off the matrix; only the
+        grown cells of live threads are compacted, in thread-major order
+        (v1's pair order), and handed to :func:`_advance`, so the next
+        level receives v1's frontier array for array.
+        """
+        flat = np.flatnonzero(outcomes != OUT_NO)  # YES or EXPAND, row-major
+        rows, cols = np.divmod(flat, outcomes.shape[1])
+        out = np.take(outcomes, flat)
+        status = self.status[rows]
+        threads = self.t0 + cols
+        collides[threads[(out == OUT_YES) & (status == STATUS_FULL)]] = True
+        # v1's grow mask, restricted to nonzero outcomes.
+        grow = (status == STATUS_MIXED) | (out == OUT_EXPAND)
+        grow &= ~collides[threads]
+        sel = np.flatnonzero(grow)
+        sel = sel[np.argsort(cols[sel], kind="stable")]
+        rows = rows[sel]
+        wave = Wave(
+            level=self.level,
+            threads=threads[sel],
+            codes=self.codes[rows],
+            idx=self.idx[rows],
+            status=status[sel],
+            centers=None,
+            half=self.half,
+            dirs=None,
+        )
+        return _advance(self.rt, wave, out[sel], collides, ws_bank=(self.level + 1) & 1)
 
 
 def _ranges(counts: np.ndarray) -> np.ndarray:
@@ -681,9 +601,10 @@ def initial_frontier(scene: Scene, start_level: int):
     """Base cells after the top-level expansion.
 
     Returns ``(level, codes, idx, status)`` where the cells are all
-    stored nodes at ``start_level`` plus the virtual leaf-ward expansion
-    of any FULL node living above it (a solid region coarser than the
-    base level still has to be visible to every thread).
+    stored nodes at ``start_level`` (first, with ``idx == arange``) plus
+    the virtual leaf-ward expansion of any FULL node living above it (a
+    solid region coarser than the base level still has to be visible to
+    every thread).
     """
     tree = scene.tree
     L0 = min(start_level, tree.depth)
@@ -794,27 +715,21 @@ def _advance(
 
 
 def _subwave(wave: Wave, a: int, b: int) -> Wave:
-    """The ``[a:b)`` slice of a wave's pair arrays (views, no copies)."""
+    """The ``[a:b)`` slice of a pair wave's arrays (views, no copies)."""
     return Wave(
         level=wave.level,
         threads=wave.threads[a:b],
         codes=wave.codes[a:b],
         idx=wave.idx[a:b],
         status=wave.status[a:b],
-        centers=wave.centers[a:b] if wave.centers is not None else None,
+        centers=wave.centers[a:b],
         half=wave.half,
-        dirs=wave.dirs[a:b] if wave.dirs is not None else None,
-        ctx=wave.ctx,
-        offset=wave.offset + a,
+        dirs=wave.dirs[a:b],
     )
 
 
-def _decide_chunked(rt: Runtime, method, wave: Wave) -> np.ndarray:
-    """``method.decide`` with the frontier split into <= max_pairs chunks.
-
-    Every decision kernel is per-pair pure and charges counters per pair,
-    so splitting a level's pair arrays changes neither outcomes nor
-    counters — only the peak size of the kernel's temporaries.
+def _decide_pure(rt: Runtime, method, wave: Wave, check: bool) -> np.ndarray:
+    """``method.decide(rt, wave)``; with ``check``, asserts counter purity.
 
     **Counter purity.**  The byte-identity of chunked and unchunked runs
     (and of the engines, and of any worker sharding) rests on a single
@@ -824,34 +739,80 @@ def _decide_chunked(rt: Runtime, method, wave: Wave) -> np.ndarray:
     that, say, charged every thread of the block per call would pass
     unchunked runs and silently drift under chunking.  When chunking is
     active (and Python is not running with ``-O``), that invariant is
-    asserted per chunk: counters of every thread *outside* the chunk
-    must not move across the call.
+    asserted per call: counters of every thread outside the wave's
+    threads (a product wave's columns) must not move across it.
+    """
+    if not (check and __debug__):
+        return method.decide(rt, wave)
+    counters = rt.counters
+    outside = np.ones(counters.n_threads, dtype=bool)
+    outside[wave.threads] = False
+
+    def charged():
+        return [int(getattr(counters, f)[outside].sum()) for f in ThreadCounters.COUNTER_FIELDS]
+
+    before = charged()
+    outcomes = method.decide(rt, wave)
+    assert charged() == before, (
+        f"{method.name}.decide charged counters outside its sub-wave "
+        f"({wave.size} pairs at level {wave.level}); chunked and unchunked "
+        "runs would diverge"
+    )
+    return outcomes
+
+
+def _decide_chunked(rt: Runtime, method, wave: Wave) -> np.ndarray:
+    """``method.decide`` with a pair wave split into <= max_pairs chunks.
+
+    Every decision kernel is per-pair pure and charges counters per pair
+    (see :func:`_decide_pure`), so splitting a level's pair arrays
+    changes neither outcomes nor counters — only the peak size of the
+    kernel's temporaries.
     """
     cap = int(rt.config.max_pairs)
     if cap <= 0 or wave.size <= cap:
         return method.decide(rt, wave)
-    counters = rt.counters
     outcomes = np.empty(wave.size, dtype=np.uint8)
     for a in range(0, wave.size, cap):
         b = min(a + cap, wave.size)
-        if __debug__:
-            outside = np.ones(counters.n_threads, dtype=bool)
-            outside[wave.threads[a:b]] = False
-            before = [
-                int(getattr(counters, f)[outside].sum())
-                for f in ThreadCounters.COUNTER_FIELDS
-            ]
-        outcomes[a:b] = method.decide(rt, _subwave(wave, a, b))
-        if __debug__:
-            after = [
-                int(getattr(counters, f)[outside].sum())
-                for f in ThreadCounters.COUNTER_FIELDS
-            ]
-            assert after == before, (
-                f"{method.name}.decide charged counters outside its sub-wave "
-                f"(chunk [{a}:{b}) of {wave.size}); chunked and unchunked runs "
-                "would diverge"
+        outcomes[a:b] = _decide_pure(rt, method, _subwave(wave, a, b), True)
+    return outcomes
+
+
+def _decide_product(rt: Runtime, method, ctx: LevelContext) -> np.ndarray:
+    """``method.decide`` over ``ctx``'s panels in <= max_pairs rectangles.
+
+    A rectangle is whole rows of all ``B`` columns when a row fits in
+    ``max_pairs``, else a run of columns within one row.  Returns the
+    ``(U, B)`` outcome matrix; purity is asserted per rectangle as per
+    chunk in :func:`_decide_chunked`.
+    """
+    U, B = len(ctx.codes), ctx.t1 - ctx.t0
+    cap = int(rt.config.max_pairs)
+    if cap <= 0:
+        cap = U * B
+    cols = min(B, cap)
+    rows = min(U, cap // cols)
+    chunked = rows * cols < U * B
+    outcomes = rt.workspace.take("product.outcomes", (U, B), np.uint8)
+    for r0 in range(0, U, rows):
+        rs = slice(r0, min(r0 + rows, U))
+        for c0 in range(0, B, cols):
+            cs = slice(c0, min(c0 + cols, B))
+            wave = Wave(
+                level=ctx.level,
+                threads=np.arange(ctx.t0 + cs.start, ctx.t0 + cs.stop, dtype=np.intp),
+                codes=ctx.codes[rs],
+                idx=ctx.idx[rs],
+                status=ctx.status[rs],
+                centers=None,
+                half=ctx.half,
+                dirs=None,
+                ctx=ctx,
+                rect=(rs, cs),
             )
+            out = _decide_pure(rt, method, wave, chunked)
+            outcomes[rs, cs] = out.reshape(rs.stop - rs.start, cs.stop - cs.start)
     return outcomes
 
 
@@ -874,6 +835,10 @@ def _traverse_range(
     thread's state), so any partition of ``[0, M)`` into ranges produces
     the same totals — the property the worker pool relies on.
 
+    Under v2 each block's base level is decided as a product
+    (:class:`LevelContext`); every other level runs the v1 kernels on
+    pair arrays.
+
     ``progress`` — when given — is called with ``(t0=..., t1=...)``
     after each completed thread-block (the serial path's heartbeat).
     """
@@ -882,65 +847,40 @@ def _traverse_range(
     counters = rt.counters
     M = counters.n_threads
     v2 = rt.engine == "v2"
-    ws = rt.workspace
     n0 = len(base_codes)
     for t0 in range(t_start, t_end, rt.config.thread_block):
         t1 = min(t0 + rt.config.thread_block, t_end)
-        block = np.arange(t0, t1, dtype=np.intp)
-        B = len(block)
-        if v2:
-            # Broadcast-fill the (block x base) product straight into the
-            # level-parity bank of the frontier buffers (v1's repeat/tile
-            # without the per-block allocations).
-            bank = L0 & 1
-            threads = ws.take(f"frontier.threads.{bank}", B * n0, np.intp)
-            threads.reshape(B, n0)[:] = block[:, None]
-            codes = ws.take(f"frontier.codes.{bank}", B * n0, np.uint64)
-            codes.reshape(B, n0)[:] = base_codes[None, :]
-            idx = ws.take(f"frontier.idx.{bank}", B * n0, np.intp)
-            idx.reshape(B, n0)[:] = base_idx[None, :]
-            status = ws.take(f"frontier.status.{bank}", B * n0, np.uint8)
-            status.reshape(B, n0)[:] = base_status[None, :]
+        B = t1 - t0
+        level = L0
+        if v2 and n0:
+            with tracer.span("cd.level", level=L0, pairs=n0 * B) as lsp:
+                if tracer.enabled:
+                    lsp.set(panel=True, unique_nodes=n0, dedup_ratio=float(B))
+                ctx = LevelContext(rt, L0, t0, t1, base_codes, base_idx, base_status)
+                counters.nodes_visited[t0:t1] += n0
+                outcomes = _decide_product(rt, method, ctx)
+                threads, codes, idx, status = ctx.advance(outcomes, collides)
+            level += 1
         else:
+            block = np.arange(t0, t1, dtype=np.intp)
             threads = np.repeat(block, n0)
             codes = np.tile(base_codes, B)
             idx = np.tile(base_idx, B)
             status = np.tile(base_status, B)
 
-        level = L0
-        while len(threads):
+        while len(threads) and level <= tree.depth:
             with tracer.span("cd.level", level=level, pairs=len(threads)) as lsp:
-                half = tree.cell_half(level)
-                ctx = None
-                if v2:
-                    ctx = LevelContext(rt, level, half, t0, t1, threads, codes, idx)
-                    if not ctx.prepare_panels():
-                        ctx = None
-                    if tracer.enabled:
-                        if ctx is not None:
-                            n_uniq, ratio = ctx.dedup_stats()
-                            lsp.set(unique_nodes=n_uniq, dedup_ratio=ratio)
-                        lsp.set(panel=ctx is not None)
-                if ctx is None:
-                    # v1, and v2 levels that miss the panel gate: the
-                    # reference kernels on per-pair centers and dirs.
-                    centers = tree.centers_of_codes(level, codes)
-                    dirs = rt.all_dirs[threads]
-                else:
-                    # Panel mode: kernels read (node x thread) matrices;
-                    # per-pair geometry is gathered on demand for the
-                    # (rare) exact fallbacks.
-                    centers = dirs = None
+                if v2 and tracer.enabled:
+                    lsp.set(panel=False)
                 wave = Wave(
                     level=level,
                     threads=threads,
                     codes=codes,
                     idx=idx,
                     status=status,
-                    centers=centers,
-                    half=half,
-                    dirs=dirs,
-                    ctx=ctx,
+                    centers=tree.centers_of_codes(level, codes),
+                    half=tree.cell_half(level),
+                    dirs=rt.all_dirs[threads],
                 )
                 counters.add_threads("nodes_visited", threads, M)
                 outcomes = _decide_chunked(rt, method, wave)
@@ -949,8 +889,6 @@ def _traverse_range(
                     ws_bank=(level + 1) & 1 if v2 else None,
                 )
             level += 1
-            if level > tree.depth:
-                break
         if progress is not None:
             progress(t0=t0, t1=t1)
 

@@ -23,6 +23,7 @@ same inputs, at any worker count and for all five methods.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 import time
 from dataclasses import dataclass
@@ -47,6 +48,13 @@ __all__ = ["QuerySpec", "QueryResult", "Service"]
 
 _METHOD_NAMES = tuple(cls.name for cls in METHODS)
 _DEFAULT_CONFIG = TraversalConfig()
+
+
+def _as_int(name: str, value) -> int:
+    """``value`` as an ``int``; floats, strings and bools are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _digest_of(parts: tuple) -> str:
@@ -88,7 +96,10 @@ class QuerySpec:
     def __post_init__(self) -> None:
         if not self.scene or not isinstance(self.scene, str):
             raise ValueError("spec needs a scene digest string")
-        grid = tuple(int(x) for x in self.grid)
+        try:
+            grid = tuple(_as_int("grid", x) for x in self.grid)
+        except TypeError:
+            grid = ()
         if len(grid) != 2 or grid[0] < 1 or grid[1] < 1:
             raise ValueError(f"grid must be two positive ints, got {self.grid!r}")
         object.__setattr__(self, "grid", grid)
@@ -118,11 +129,14 @@ class QuerySpec:
                 raise ValueError("give either pivot or pivots, not both")
         if self.merge not in ("intersection", "union"):
             raise ValueError("merge must be 'intersection' or 'union'")
+        object.__setattr__(self, "workers", _as_int("workers", self.workers))
         if self.workers < 0:
             raise ValueError("workers must be >= 0 (0 = service default)")
         for name in ("start_level", "memo_levels", "thread_block", "max_pairs"):
-            if int(getattr(self, name)) < 1:
+            value = _as_int(name, getattr(self, name))
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_dict(cls, d: dict) -> "QuerySpec":

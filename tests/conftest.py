@@ -33,15 +33,6 @@ def _quiet_access_log():
     yield
 
 
-@pytest.fixture()
-def force_panels(monkeypatch):
-    """Lower the panel gate so the tiny test scenes run the panel kernels."""
-    import repro.cd.traversal as trav
-
-    monkeypatch.setattr(trav, "_PANEL_MIN_PAIRS", 1)
-    monkeypatch.setattr(trav, "_PANEL_OVERSAMPLE", 1e9)
-
-
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(12345)

@@ -253,7 +253,7 @@ class TestScreenPanelRouting:
     """Both ``want_screen_panel`` branches must be byte-identical.
 
     The dense branch screens the whole (node x thread) panel once and
-    gathers verdicts; the sparse branch gathers the masked pairs and
+    slices verdicts; the sparse branch gathers the masked cells and
     screens them per pair.  The heuristic picks between them on mask
     density, so each branch is forced explicitly here and checked
     against the v1 reference.
@@ -266,31 +266,29 @@ class TestScreenPanelRouting:
 
         fake = types.SimpleNamespace(
             _screen=None,
-            _virtual=lambda: (None, (), None),
-            _n_us=10,
+            codes=np.zeros(10, dtype=np.uint64),
             t0=0,
             t1=4,  # cells = 10 * 4 = 40
         )
         want = trav.LevelContext.want_screen_panel
         assert want(fake, 20) is True  # 2*20 >= 40: dense pays off
         assert want(fake, 19) is False  # sparse mask: per-pair gather
-        fake._screen = object()  # matrix already built: gathering is free
+        fake._screen = object()  # matrix already built: slicing is free
         assert want(fake, 0) is True
 
+    # AICA expands its base-level corners, so its product level never
+    # reaches CHECKBOX; MICA takes the box fallback there.
     @pytest.mark.parametrize("dense", [True, False])
-    @pytest.mark.parametrize("method", ["PBox", "PBoxOpt", "AICA"])
-    def test_forced_branches_identical(
-        self, sphere_scene, force_panels, monkeypatch, method, dense
-    ):
+    @pytest.mark.parametrize("method", ["PBox", "PBoxOpt", "MICA"])
+    def test_forced_branches_identical(self, sphere_scene, monkeypatch, method, dense):
         import repro.cd.traversal as trav
 
         ref = run_cd(
             sphere_scene, GRID, method_by_name(method),
             config=TraversalConfig(engine="v1", start_level=2),
         )
-        # force_panels lowers the gates so the tiny scene runs panel mode
-        # at all (n_masked spans tiny corner masks up to full-frontier
-        # masks); pin the branch.
+        # The product base level's masks span tiny corner masks up to the
+        # whole panel; pin the branch.
         monkeypatch.setattr(
             trav.LevelContext, "want_screen_panel", lambda self, n: dense
         )
@@ -302,66 +300,76 @@ class TestScreenPanelRouting:
 
 
 # ---------------------------------------------------------------------------
-# Level routing: panel kernels on gated levels, v1 kernels elsewhere
+# Level routing: a product base level, v1 kernels below it
 # ---------------------------------------------------------------------------
 
 
 class _CtxSpy:
-    """Wraps a method; records ``(level, wave.ctx is not None)`` per decide."""
+    """Wraps a method; records ``(level, wave.ctx is not None)`` per decide
+    and the pair arrays of every pair wave."""
 
     def __init__(self, inner):
         self._inner = inner
         self.seen: list[tuple[int, bool]] = []
+        self.waves: dict[int, list] = {}
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
     def decide(self, rt, wave):
         self.seen.append((wave.level, wave.ctx is not None))
+        if wave.ctx is None:
+            self.waves.setdefault(wave.level, []).append(
+                [a.copy() for a in (wave.threads, wave.codes, wave.idx, wave.status)]
+            )
         return self._inner.decide(rt, wave)
 
 
 class TestLevelRouting:
-    """A v2 level runs the panel kernels iff it passes the panel gate.
+    """Under v2 a block's base level is a product level, whatever
+    ``start_level`` is, and every deeper level runs the v1 kernels.
 
     On ``sphere_scene`` with a 6x6 grid the default ``start_level=5``
-    decides one 78,336-pair level, well past the gate; from
-    ``start_level=2`` levels 2-5 hold 288-9,936 pairs and none pass it.
-    ``workers=1`` keeps the spy in this process (pool workers rebuild
-    methods by name).
+    decides one 78,336-pair level; from ``start_level=2`` levels 2-5 are
+    visited.  ``workers=1`` keeps the spy in this process (pool workers
+    rebuild methods by name).
     """
 
-    def _levels(self, scene, start_level):
-        spy = _CtxSpy(method_by_name("AICA"))
+    def _spy(self, scene, start_level, method="AICA", engine="v2"):
+        spy = _CtxSpy(method_by_name(method))
         run_cd(
             scene, GRID, spy,
-            config=TraversalConfig(engine="v2", start_level=start_level),
+            config=TraversalConfig(engine=engine, start_level=start_level),
             workers=1,
         )
-        return spy.seen
+        return spy
 
     def test_dense_default_level_runs_panels(self, sphere_scene):
-        assert self._levels(sphere_scene, 5) == [(5, True)]
+        assert self._spy(sphere_scene, 5).seen == [(5, True)]
 
     def test_gate_misses_run_reference_kernels(self, sphere_scene):
-        seen = self._levels(sphere_scene, 2)
-        assert [lvl for lvl, _ in seen] == [2, 3, 4, 5]
-        assert not any(ctx for _, ctx in seen)
-
-    def test_forced_panels_everywhere(self, sphere_scene, force_panels):
-        seen = self._levels(sphere_scene, 2)
-        assert [lvl for lvl, _ in seen] == [2, 3, 4, 5]
-        assert all(ctx for _, ctx in seen)
+        # The one routing gate left is the level: only the base level is
+        # a product; levels below it run the reference kernels.
+        assert self._spy(sphere_scene, 2).seen == [
+            (2, True), (3, False), (4, False), (5, False)
+        ]
 
     @pytest.mark.parametrize("method", METHOD_NAMES)
-    def test_forced_panels_pooled_identical_to_v1(
-        self, sphere_scene, force_panels, method
-    ):
-        # Pool workers fork after the gate is lowered, so they run the
-        # panel kernels too; the traced cd.level spans prove it.  One
-        # worker's leaf level is narrower than the stored level (a gate
-        # condition force_panels keeps), so that level runs the v1
-        # kernels and the pooled map mixes both routes.
+    def test_next_level_frontier_identical_to_v1(self, sphere_scene, method):
+        # The product level's advance must hand level L0+1 exactly v1's
+        # frontier: same pairs, same order, same dtypes.
+        v1 = self._spy(sphere_scene, 2, method, "v1").waves[3]
+        v2 = self._spy(sphere_scene, 2, method, "v2").waves[3]
+        assert len(v1) == len(v2) == 1
+        for a, b in zip(v1[0], v2[0]):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_forced_panels_pooled_identical_to_v1(self, sphere_scene, method):
+        # Each pool worker decides its blocks' base level as a product and
+        # the levels below on the v1 kernels; the traced cd.level spans of
+        # the pooled run show both routes.
         ref = run_cd(
             sphere_scene, GRID, method_by_name(method),
             config=TraversalConfig(engine="v1", start_level=2), workers=1,
@@ -371,7 +379,7 @@ class TestLevelRouting:
                 sphere_scene, GRID, method_by_name(method),
                 config=TraversalConfig(engine="v2", start_level=2), workers=2,
             )
-        _assert_identical(ref, pooled, f"{method} forced panels workers=2")
+        _assert_identical(ref, pooled, f"{method} pooled workers=2")
         panel = {r["attrs"]["panel"] for r in tr.to_dicts() if r["name"] == "cd.level"}
         assert panel == {True, False}
 

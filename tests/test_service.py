@@ -270,6 +270,33 @@ class TestQuerySpec:
         with pytest.raises(ValueError, match="finite"):
             QuerySpec.from_dict({"scene": "d", "pivot": [0, 0, bad]})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("thread_block", 2048.5), ("thread_block", "64"), ("start_level", 4.5),
+            ("grid", (4.5, 4)), ("grid", "44"), ("max_pairs", True),
+            ("memo_levels", "8"), ("workers", 1.0), ("workers", False),
+        ],
+    )
+    def test_non_integer_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match="integer"):
+            QuerySpec(scene="d", **{field: value})
+
+    def test_integer_fields_stored_as_int(self):
+        spec = QuerySpec(
+            scene="d", grid=(np.int64(4), 6), workers=np.int32(2),
+            start_level=np.int64(4), memo_levels=np.uint8(8),
+            thread_block=np.int64(64), max_pairs=np.int64(100),
+        )
+        for v in (*spec.grid, spec.workers, spec.start_level, spec.memo_levels,
+                  spec.thread_block, spec.max_pairs):
+            assert type(v) is int
+        assert spec.digest() == QuerySpec(
+            scene="d", grid=(4, 6), start_level=4, thread_block=64, max_pairs=100,
+        ).digest()
+        with pytest.raises(ValueError, match="grid"):
+            QuerySpec(scene="d", grid=4)
+
     def test_roundtrip(self):
         spec = QuerySpec(scene="d", grid=(4, 6), method="MICA", pivot=(1, 2, 3))
         again = QuerySpec.from_dict(spec.to_dict())

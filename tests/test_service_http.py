@@ -143,6 +143,16 @@ class TestEndpoints:
         status, body = _post(f"{base}/v1/cd", {"scene": digest, "backend": "numpy"})
         assert status == 400
         assert "unknown query field(s): backend" in body["error"]
+        # Numeric fields must be integers: no 500, no silently truncated
+        # grid, no bool-as-int, no string that splits the result cache.
+        for field, value in [
+            ("thread_block", 2048.5), ("thread_block", "64"), ("start_level", 4.5),
+            ("grid", [4.5, 4]), ("max_pairs", True), ("memo_levels", "8"),
+            ("workers", 1.5),
+        ]:
+            status, body = _post(f"{base}/v1/cd", {"scene": digest, field: value})
+            assert status == 400, (field, value, status, body)
+            assert "integer" in body["error"], (field, value, body)
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_pivot_400(self, server, sphere_scene, bad):

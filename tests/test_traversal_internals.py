@@ -195,7 +195,9 @@ class TestMaxPairsChunking:
         return Scene(tree, paper_tool(), np.array([0.0, 0.0, 10.0]))
 
     @pytest.mark.parametrize("method_name", ["PBoxOpt", "AICA"])
-    @pytest.mark.parametrize("cap", [1, 7])
+    # 40 lies between the block width (16) and the base level's pairs:
+    # the product level is decided in row-chunked rectangles.
+    @pytest.mark.parametrize("cap", [1, 7, 40])
     def test_tiny_cap_identical(self, scene, method_name, cap):
         from repro.cd import run_cd
         from repro.cd.methods import method_by_name
