@@ -734,9 +734,10 @@ def wallclock(scale: BenchScale | None = None) -> ExperimentResult:
     Unlike every other experiment (which reports *simulated-GPU*
     milliseconds from the counter cost model), this one times the actual
     Python host loop: each method runs serially under both engines on
-    the head model at the scale's default resolution and map, with a
-    prebuilt ICA table shared by both runs so only the traversal is
-    timed.  Each (method, engine) cell is the best of ``_WALLCLOCK_REPS``
+    the head model at the scale's default resolution and map.  Every
+    timed run builds its own demand-filled ICA table, so each pays for
+    the rows it fills (a shared table would charge them all to the first
+    run).  Each (method, engine) cell is the best of ``_WALLCLOCK_REPS``
     repetitions — min, not mean, is the right statistic for wall-clock
     gating since noise is strictly additive.
 
@@ -750,15 +751,11 @@ def wallclock(scale: BenchScale | None = None) -> ExperimentResult:
     scale = scale or current_scale()
     from repro.cd.traversal import run_cd
     from repro.engine.counters import ThreadCounters
-    from repro.ica.table import build_ica_table
     from repro.obs.metrics import get_metrics
 
     grid = _grid(scale.default_map)
     wl = build_workload("head", scale.default_resolution, n_pivots=1)
     scene = wl.scene(0)
-    table = build_ica_table(
-        scene.tree, scene.tool, scene.pivot, levels=TraversalConfig().memo_levels
-    )
 
     metrics = get_metrics()
     rows = []
@@ -772,7 +769,7 @@ def wallclock(scale: BenchScale | None = None) -> ExperimentResult:
             t = None
             for _ in range(_WALLCLOCK_REPS):
                 t0 = time.perf_counter()
-                r = run_cd(scene, grid, method, config=cfg, table=table, workers=1)
+                r = run_cd(scene, grid, method, config=cfg, workers=1)
                 dt = time.perf_counter() - t0
                 t = dt if t is None else min(t, dt)
             results[engine] = r

@@ -313,8 +313,8 @@ class LevelContext:
     ``(base cell x block thread)`` product, and v2 never writes them out
     as per-pair arrays.  Panel rows are the base cells in
     ``initial_frontier`` order: stored cells first with ``idx ==
-    arange``, so the level caches and ``table.cos1/cos2[level]`` serve
-    them as they are, then the virtual cells.  Columns are the block's
+    arange``, so the level caches and ``table.level(level)`` serve them
+    as they are, then the virtual cells.  Columns are the block's
     threads.  The kernels' core quantities (the CHECKICA cosine test,
     the CHECKBOX sphere screen, the optimized-PBox cull verdict) are
     evaluated on ``(U, B)`` matrices once per block, and methods decide
@@ -324,7 +324,10 @@ class LevelContext:
     (elementwise ops and order-preserving ``einsum`` contractions), so a
     cell is bit-equal to what the reference kernel computes for its
     ``(node, thread)`` pair and outcomes and counters stay
-    byte-identical to v1.
+    byte-identical to v1.  The float intermediates are evaluated over
+    row blocks (:func:`_row_blocks`) straight into the bool and uint8
+    matrices; a cell's formula does not depend on its block, so only
+    the temporaries' size changes.
     """
 
     __slots__ = (
@@ -393,7 +396,7 @@ class LevelContext:
             )
             if memo_stored:
                 ns = self.n_stored
-                cos1, cos2 = table.cos1[self.level], table.cos2[self.level]
+                cos1, cos2 = table.level(self.level)
                 if len(dist) > ns:
                     v1, v2 = checkica_bounds_cos(tool, dist[ns:], self.half)
                     cos1 = np.concatenate([cos1, v1])
@@ -419,19 +422,22 @@ class LevelContext:
             U = len(dist)
             B = self.t1 - self.t0
             dirs = rt.all_dirs[self.t0 : self.t1]
-            cos = ws.take("panel.cos", (U, B))
-            np.einsum("uj,tj->ut", rel, dirs, out=cos)
+            cos1, cos2, memo_stored = self._panel_bounds(use_memo)
             safe = ws.take("panel.safe", U)
             np.maximum(dist, 1e-300, out=safe)
-            np.divide(cos, safe[:, None], out=cos)
-            np.clip(cos, -1.0, 1.0, out=cos)
-            cos[dist == 0.0] = 1.0
-            cos1, cos2, memo_stored = self._panel_bounds(use_memo)
             yes = ws.take("panel.yes", (U, B), bool)
-            np.greater_equal(cos, cos1[:, None], out=yes)
             corner = ws.take("panel.corner", (U, B), bool)
-            # corner == ~yes & ~(cos <= cos2) (the reference's ~yes & ~no).
-            np.less_equal(cos, cos2[:, None], out=corner)
+            blocks, rows = _row_blocks(U, B)
+            cos_buf = ws.take("panel.cos", (rows, B))
+            for rs in blocks:
+                cos = cos_buf[: rs.stop - rs.start]
+                np.einsum("uj,tj->ut", rel[rs], dirs, out=cos)
+                np.divide(cos, safe[rs, None], out=cos)
+                np.clip(cos, -1.0, 1.0, out=cos)
+                cos[dist[rs] == 0.0] = 1.0
+                np.greater_equal(cos, cos1[rs, None], out=yes[rs])
+                # corner == ~yes & ~(cos <= cos2) (the reference's ~yes & ~no).
+                np.less_equal(cos, cos2[rs, None], out=corner[rs])
             np.logical_or(corner, yes, out=corner)
             np.logical_not(corner, out=corner)
             out_mat = ws.take("panel.out", (U, B), np.uint8)
@@ -460,16 +466,8 @@ class LevelContext:
             U = len(rel)
             B = self.t1 - self.t0
             dirs = rt.all_dirs[self.t0 : self.t1]
-            axial = ws.take("panel.axial", (U, B))
-            np.einsum("uj,tj->ut", rel, dirs, out=axial)
             rr = ws.take("panel.rr", U)
             np.einsum("ij,ij->i", rel, rel, out=rr)
-            radial = ws.take("panel.radial", (U, B))
-            np.multiply(axial, axial, out=radial)
-            np.subtract(rr[:, None], radial, out=radial)
-            np.maximum(radial, 0.0, out=radial)
-            np.sqrt(radial, out=radial)
-            d2d = tool_point_distance_2d(tool.z0, tool.z1, tool.radius, axial, radial)
             # The reference compares against halves3.min(axis=1) and
             # sqrt(einsum(halves3, halves3)) of the broadcast scalar
             # half; reproduce both reductions on one (1, 3) row so the
@@ -478,9 +476,21 @@ class LevelContext:
             r_in = h3.min(axis=1)[0]
             r_circ = np.sqrt(np.einsum("ij,ij->i", h3, h3))[0]
             hit = ws.take("panel.scr_hit", (U, B), bool)
-            np.less_equal(d2d, r_in, out=hit)
             und = ws.take("panel.scr_und", (U, B), bool)
-            np.less_equal(d2d, r_circ, out=und)
+            blocks, rows = _row_blocks(U, B)
+            axial_buf = ws.take("panel.axial", (rows, B))
+            radial_buf = ws.take("panel.radial", (rows, B))
+            for rs in blocks:
+                axial = axial_buf[: rs.stop - rs.start]
+                radial = radial_buf[: rs.stop - rs.start]
+                np.einsum("uj,tj->ut", rel[rs], dirs, out=axial)
+                np.multiply(axial, axial, out=radial)
+                np.subtract(rr[rs, None], radial, out=radial)
+                np.maximum(radial, 0.0, out=radial)
+                np.sqrt(radial, out=radial)
+                d2d = tool_point_distance_2d(tool.z0, tool.z1, tool.radius, axial, radial)
+                np.less_equal(d2d, r_in, out=hit[rs])
+                np.less_equal(d2d, r_circ, out=und[rs])
             und[hit] = False
             self._screen = (hit, und)
         return self._screen
@@ -585,6 +595,20 @@ class LevelContext:
             dirs=None,
         )
         return _advance(self.rt, wave, out[sel], collides, ws_bank=(self.level + 1) & 1)
+
+
+#: Cells per row block of the product level's float temporaries: the
+#: CHECKICA cosines and the CHECKBOX screen's axial/radial/distance
+#: matrices are evaluated a few rows at a time into the ``(U, B)`` bool
+#: outputs, so each temporary stays at 2 MiB however large the panel.
+_ROW_BLOCK_CELLS = 1 << 18
+
+
+def _row_blocks(U: int, B: int) -> tuple[list[slice], int]:
+    """Row slices covering ``U`` panel rows of ``B`` columns, and the
+    rows of the largest one (the temporaries' height)."""
+    rows = max(1, min(U, _ROW_BLOCK_CELLS // max(B, 1)))
+    return [slice(r0, min(r0 + rows, U)) for r0 in range(0, U, rows)], rows
 
 
 def _ranges(counts: np.ndarray) -> np.ndarray:
@@ -963,20 +987,43 @@ def _finalize_run(
 def _check_table(table: IcaTable, scene: Scene, config: TraversalConfig) -> None:
     """Reject a precomputed table that was built for a different problem.
 
-    A mismatched pivot changes the map; a mismatched ``S`` changes the
-    memo/fly counter split — either would silently break the byte-for-byte
-    equivalence the caller is promised, so both are hard errors.
+    A mismatched pivot, tool or tree changes the map (a table fills its
+    rows from its own tree, tool and pivot); a mismatched ``S`` changes
+    the memo/fly counter split — each would silently break the
+    byte-for-byte equivalence the caller is promised, so all are hard
+    errors.  A tree passes when it is the scene's own object or has the
+    same domain and codes on every memoized level.
     """
-    if not np.array_equal(np.asarray(table.pivot, dtype=np.float64), scene.pivot):
+    if not np.array_equal(table.pivot, scene.pivot):
         raise ValueError(
-            f"precomputed ICA table pivot {np.asarray(table.pivot).tolist()} "
+            f"precomputed ICA table pivot {table.pivot.tolist()} "
             f"does not match scene pivot {scene.pivot.tolist()}"
         )
+    for name in ("z0", "z1", "radius"):
+        if not np.array_equal(getattr(table.tool, name), getattr(scene.tool, name)):
+            raise ValueError(
+                f"precomputed ICA table tool {name} "
+                f"{getattr(table.tool, name).tolist()} does not match scene "
+                f"tool {name} {getattr(scene.tool, name).tolist()}"
+            )
     expect = int(min(config.memo_levels, scene.tree.depth + 1))
     if table.levels != expect:
         raise ValueError(
             f"precomputed ICA table has S={table.levels}, "
             f"but this run needs S={expect} (config.memo_levels={config.memo_levels})"
+        )
+    tree, own = scene.tree, table.tree
+    if own is not tree and not (
+        np.array_equal(own.domain.lo, tree.domain.lo)
+        and np.array_equal(own.domain.hi, tree.domain.hi)
+        and all(
+            np.array_equal(own.levels[l].codes, tree.levels[l].codes)
+            for l in range(table.levels)
+        )
+    ):
+        raise ValueError(
+            "precomputed ICA table tree does not match the scene tree "
+            f"(domain or codes differ on the {table.levels} memoized levels)"
         )
 
 
@@ -1005,13 +1052,17 @@ def run_cd(
     :mod:`repro.engine.pool`; the map and counters are byte-identical to
     the serial path for every method.
 
-    ``table`` is an optional precomputed stage-1 ICA table for exactly
-    this (scene, ``config.memo_levels``) — e.g. loaded with
-    :func:`repro.ica.io.load_ica_table` or cached by a scene registry —
-    validated against the scene before use.  ``shared`` is an optional
-    prebuilt :class:`repro.engine.pool.SharedScene` arena (tree + table)
-    consulted only by the parallel path; the caller keeps ownership.
-    Both leave results byte-identical; they only skip redundant setup.
+    Table methods read a demand-filled stage-1 ICA table
+    (:func:`~repro.ica.table.build_ica_table`): the traversal computes
+    only the rows it reads, while the simulated stage 1 is charged for
+    every row (``table_entries``).  ``table`` is an optional table for
+    exactly this (scene, ``config.memo_levels``) — e.g. one a scene
+    registry shares across queries, whose filled rows later runs reuse —
+    validated against the scene's pivot, tool, tree and ``S`` before
+    use.  ``shared`` is an optional prebuilt
+    :class:`repro.engine.pool.SharedScene` tree arena consulted only by
+    the parallel path; the caller keeps ownership.  Both leave results
+    byte-identical; they only skip redundant setup.
     """
     from dataclasses import replace
 

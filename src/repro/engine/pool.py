@@ -16,11 +16,13 @@ does, while guaranteeing byte-identical results:
   performs a full serial ``run_cd`` (building its own per-pivot ICA
   table) and ships the result back.
 
-In both modes the octree level arrays — and, for a single sharded run,
-the memoized ICA table — live in :mod:`multiprocessing.shared_memory`:
-workers attach zero-copy views instead of unpickling the tree per task
-(:class:`SharedScene`).  Small inputs (tool, pivot, grid, config) travel
-by pickle.
+In both modes the octree level arrays live in
+:mod:`multiprocessing.shared_memory`: workers attach zero-copy views
+instead of unpickling the tree per task (:class:`SharedScene`).  Small
+inputs (tool, pivot, grid, config) travel by pickle.  The stage-1 ICA
+table is not shipped: it is demand-filled, so each task builds its own
+from the attached tree and fills only the rows its orientations read,
+in parallel with the other tasks.
 
 Worker selection: explicit ``workers=`` argument, else
 ``TraversalConfig.workers``, else the ``REPRO_WORKERS`` environment
@@ -43,7 +45,7 @@ import numpy as np
 
 from repro.engine.workspace import Workspace, export_workspace_metrics, use_workspace
 from repro.geometry.aabb import AABB
-from repro.ica.table import IcaTable
+from repro.ica.table import IcaTable, build_ica_table
 from repro.obs.context import TraceContext, use_trace_context
 from repro.obs.metrics import get_metrics
 from repro.obs.profile import Heartbeat, PoolStats, peak_rss_bytes, progress_enabled
@@ -99,13 +101,13 @@ def _aligned(offset: int) -> int:
 
 
 class SharedScene:
-    """Octree level arrays (+ optional ICA table) in one shared block.
+    """Octree level arrays in one shared block.
 
     The parent calls :meth:`create`, passes the picklable ``manifest``
     to workers, keeps the instance alive while tasks run, then calls
     :meth:`destroy`.  Workers call :meth:`attach` with the manifest and
-    get back ``(tree, table)`` whose arrays are read-only views directly
-    into the shared block — no copy, no pickling of the tree.
+    get back a tree whose arrays are read-only views directly into the
+    shared block — no copy, no pickling of the tree.
     """
 
     def __init__(self, shm: shared_memory.SharedMemory, manifest: dict):
@@ -113,7 +115,7 @@ class SharedScene:
         self.manifest = manifest
 
     @classmethod
-    def create(cls, tree: LinearOctree, table: IcaTable | None = None) -> "SharedScene":
+    def create(cls, tree: LinearOctree) -> "SharedScene":
         specs = []
         payload = []
         offset = 0
@@ -137,10 +139,6 @@ class SharedScene:
             _add(f"L{l}.status", lev.status)
             _add(f"L{l}.child_start", lev.child_start)
             _add(f"L{l}.child_count", lev.child_count)
-        if table is not None:
-            for l in range(len(table.cos1)):
-                _add(f"ica.cos1.{l}", table.cos1[l])
-                _add(f"ica.cos2.{l}", table.cos2[l])
 
         shm = shared_memory.SharedMemory(create=True, size=max(1, offset))
         for spec, arr in zip(specs, payload):
@@ -156,19 +154,11 @@ class SharedScene:
             "domain_hi": tuple(float(x) for x in tree.domain.hi),
             "depth": tree.depth,
             "arrays": specs,
-            "table": None
-            if table is None
-            else {
-                "levels": table.levels,
-                "n_levels_stored": len(table.cos1),
-                "pivot": tuple(float(x) for x in table.pivot),
-                "n_entries": table.n_entries,
-            },
         }
         return cls(shm, manifest)
 
     @staticmethod
-    def attach(manifest: dict) -> tuple[LinearOctree, IcaTable | None]:
+    def attach(manifest: dict) -> LinearOctree:
         """(Worker side) Rebuild the scene as views into the shared block.
 
         Attachments are cached per block name, so a worker reattaches at
@@ -177,7 +167,7 @@ class SharedScene:
         name = manifest["shm"]
         cached = _ATTACHED.get(name)
         if cached is not None:
-            return cached[1], cached[2]
+            return cached[1]
 
         shm = shared_memory.SharedMemory(name=name)
         views: dict[str, np.ndarray] = {}
@@ -206,22 +196,11 @@ class SharedScene:
             linked=True,
         )
 
-        table = None
-        meta = manifest["table"]
-        if meta is not None:
-            table = IcaTable(
-                pivot=np.asarray(meta["pivot"], dtype=np.float64),
-                levels=meta["levels"],
-                cos1=[views[f"ica.cos1.{l}"] for l in range(meta["n_levels_stored"])],
-                cos2=[views[f"ica.cos2.{l}"] for l in range(meta["n_levels_stored"])],
-                n_entries=meta["n_entries"],
-            )
-
         while len(_ATTACHED) >= _ATTACH_CACHE_MAX:
             stale = next(iter(_ATTACHED))
             _ATTACHED.pop(stale)[0].close()
-        _ATTACHED[name] = (shm, tree, table)
-        return tree, table
+        _ATTACHED[name] = (shm, tree)
+        return tree
 
     @property
     def nbytes(self) -> int:
@@ -236,7 +215,7 @@ class SharedScene:
             pass
 
 
-# Worker-side attachment cache: shm name -> (shm, tree, table).  Bounded
+# Worker-side attachment cache: shm name -> (shm, tree).  Bounded
 # because a long-lived pool may see many scenes; evicting closes the
 # stale mapping (the arrays die with the task that used them).
 _ATTACHED: dict[str, tuple] = {}
@@ -366,11 +345,13 @@ def _worker_prologue() -> tuple[int, float]:
 def _cd_block_task(job: dict) -> dict:
     """Traverse orientation range ``[t0, t1)`` of one CD run.
 
-    Returns the range's ``collides`` slice, the per-thread counter
-    slices (only this range's entries are nonzero, so slices lose
-    nothing), the worker's trace spans when tracing was requested, and
-    the telemetry the parent's utilization accounting consumes (pid,
-    start stamp, busy seconds, peak RSS, trace epoch).
+    A table method gets a fresh demand-filled ICA table for the job's
+    (tree, tool, pivot, S), so the task fills exactly the rows its
+    range reads.  Returns the range's ``collides`` slice, the
+    per-thread counter slices (only this range's entries are nonzero,
+    so slices lose nothing), the worker's trace spans when tracing was
+    requested, and the telemetry the parent's utilization accounting
+    consumes (pid, start stamp, busy seconds, peak RSS, trace epoch).
     """
     from repro.cd.methods import method_by_name
     from repro.cd.scene import Scene
@@ -378,7 +359,7 @@ def _cd_block_task(job: dict) -> dict:
     from repro.engine.counters import ThreadCounters
 
     start_ns, busy_t0 = _worker_prologue()
-    tree, table = SharedScene.attach(job["manifest"])
+    tree = SharedScene.attach(job["manifest"])
     scene = Scene(tree, job["tool"], job["pivot"])
     method = method_by_name(job["method"])
     grid = job["grid"]
@@ -392,13 +373,18 @@ def _cd_block_task(job: dict) -> dict:
     with use_tracer(tracer), use_workspace(ws), \
             use_trace_context(job.get("trace_ctx")):
         counters = ThreadCounters(n_threads=M, n_cyl=scene.n_cylinders)
+        table = (
+            build_ica_table(tree, scene.tool, scene.pivot, levels=config.memo_levels)
+            if getattr(method, "needs_table", False)
+            else None
+        )
         rt = Runtime(
             scene=scene,
             grid=grid,
             counters=counters,
             costs=job["costs"],
             config=config,
-            table=table if getattr(method, "needs_table", False) else None,
+            table=table,
         )
         L0, base_codes, base_idx, base_status = initial_frontier(
             scene, config.start_level
@@ -439,7 +425,7 @@ def _pivot_task(job: dict) -> dict:
     from repro.obs.metrics import MetricsRegistry, use_metrics
 
     start_ns, busy_t0 = _worker_prologue()
-    tree, _ = SharedScene.attach(job["manifest"])
+    tree = SharedScene.attach(job["manifest"])
     scene = Scene(tree, job["tool"], job["pivot"])
     from repro.cd.methods import method_by_name
 
@@ -490,17 +476,17 @@ def run_cd_parallel(
     Called by :func:`repro.cd.traversal.run_cd` when the resolved worker
     count exceeds 1; produces a byte-identical :class:`CDResult`.
 
-    ``table`` is an optional precomputed stage-1 table for this exact
-    (scene, memo_levels) — validated upstream by ``run_cd`` — and
-    ``shared`` an optional prebuilt arena already holding the tree (and
-    the table, when the method uses one); both let a long-lived caller
-    skip the per-request rebuild.  A caller-provided arena is never
-    destroyed here, and dispatch goes to the ambient pool
-    (:func:`use_pool`) when one is installed.
+    The parent only needs the stage-1 table's full row count (the
+    simulated precompute cost): ``table`` — an optional precomputed
+    table for this exact (scene, memo_levels), validated upstream by
+    ``run_cd`` — supplies it, else an unfilled table does.  Each worker
+    fills its own table.  ``shared`` is an optional prebuilt tree arena
+    that lets a long-lived caller skip the per-request copy.  A
+    caller-provided arena is never destroyed here, and dispatch goes to
+    the ambient pool (:func:`use_pool`) when one is installed.
     """
     from repro.cd.traversal import _finalize_run
     from repro.engine.counters import ThreadCounters
-    from repro.ica.table import build_ica_table
 
     t_wall0 = time.perf_counter()
     tracer = get_tracer()
@@ -518,13 +504,11 @@ def run_cd_parallel(
                     scene.tree, scene.tool, scene.pivot, levels=config.memo_levels
                 )
             table_entries = table.n_entries
-        else:
-            table = None  # never ship a table the method will not read
 
         own_arena = shared is None
         if own_arena:
             with tracer.span("pool.share") as share_sp:
-                shared = SharedScene.create(scene.tree, table)
+                shared = SharedScene.create(scene.tree)
                 share_sp.set(nbytes=shared.nbytes, tasks=len(ranges))
 
         jobs = [
@@ -623,10 +607,9 @@ def run_along_path_parallel(
     each run's metrics, folds worker traces under per-pivot spans, and
     computes the overlap statistics exactly as the serial path does.
 
-    ``shared`` — when given — is a prebuilt arena holding this tree (it
-    may also carry an ICA table; pivot workers ignore it since every
-    pivot needs its own).  Caller-provided arenas are not destroyed, and
-    the ambient pool (:func:`use_pool`) is reused when installed.
+    ``shared`` — when given — is a prebuilt arena holding this tree.
+    Caller-provided arenas are not destroyed, and the ambient pool
+    (:func:`use_pool`) is reused when installed.
     """
     from repro.cd.pathrun import PathRunResult, map_overlap
     from repro.cd.traversal import _export_run_metrics

@@ -20,7 +20,6 @@ from repro.ica.cone import (
     inaccessible_intervals,
 )
 from repro.ica.table import IcaTable, build_ica_table
-from repro.ica.io import load_ica_table, save_ica_table
 from repro.ica.efficiency import (
     corner_case_probability,
     theoretical_efficiency,
@@ -33,8 +32,6 @@ __all__ = [
     "inaccessible_intervals",
     "IcaTable",
     "build_ica_table",
-    "save_ica_table",
-    "load_ica_table",
     "corner_case_probability",
     "theoretical_efficiency",
 ]

@@ -3,7 +3,6 @@
 Usage::
 
     repro-serve --port 8077 --workers 4          # start one query replica
-    repro-serve --table-dir /var/cache/repro-ica # warm-startable ICA tables
     REPRO_ACCESS_LOG=access.log repro-serve      # JSON access log to a file
     REPRO_ACCESS_LOG=0 repro-serve               # silence the access log
 
@@ -120,10 +119,6 @@ def _main_serve(argv: list[str]) -> int:
         help="concurrent query computations (default 1: queries serialize, "
         "each parallelizing internally over --workers processes)",
     )
-    parser.add_argument(
-        "--table-dir", default=None,
-        help="directory for persisted ICA tables (warm-start across restarts)",
-    )
     args = parser.parse_args(argv)
 
     from repro.engine.pool import resolve_workers
@@ -139,7 +134,6 @@ def _main_serve(argv: list[str]) -> int:
     service = Service(
         workers=workers,
         max_scenes=args.max_scenes,
-        table_dir=args.table_dir,
         cache_entries=args.cache_entries,
         cache_bytes=int(args.cache_mb * 1024 * 1024),
         max_queue=args.max_queue,

@@ -245,7 +245,6 @@ class Service:
         *,
         workers: int = 1,
         max_scenes: int = 8,
-        table_dir=None,
         cache_entries: int = 256,
         cache_bytes: int = 256 * 1024 * 1024,
         max_queue: int = 32,
@@ -255,7 +254,7 @@ class Service:
         from repro.engine.pool import resolve_workers
 
         self.workers = resolve_workers(workers)
-        self.registry = SceneRegistry(max_scenes=max_scenes, table_dir=table_dir)
+        self.registry = SceneRegistry(max_scenes=max_scenes)
         self.cache = ResultCache(max_entries=cache_entries, max_bytes=cache_bytes)
         self.broker = QueryBroker(
             dispatch_threads=dispatch_threads,
@@ -534,19 +533,12 @@ class Service:
                 "per_pivot_accessible": [r.n_accessible for r in pr.results],
             }
         else:
-            needs_table = getattr(method, "needs_table", False)
             table = (
                 self.registry.get_table(digest, config.memo_levels)
-                if needs_table
+                if getattr(method, "needs_table", False)
                 else None
             )
-            arena = (
-                self.registry.get_arena(
-                    digest, config.memo_levels if needs_table else None
-                )
-                if parallel
-                else None
-            )
+            arena = self.registry.get_arena(digest) if parallel else None
             with use_pool(self._get_pool(workers) if parallel else None), \
                     use_workspace(self._thread_workspace()):
                 r = run_cd(

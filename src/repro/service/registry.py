@@ -3,17 +3,17 @@
 A CAM service voxelizes a model once and answers many accessibility
 queries against it.  The registry is where that "once" lives: a
 :class:`~repro.cd.scene.Scene` is registered under its
-:meth:`~repro.cd.scene.Scene.content_digest` and every expensive
-per-scene artifact — the stage-1 memoized ICA table and the
-shared-memory arena the worker pool reads — is built once and reused by
-all subsequent queries.
+:meth:`~repro.cd.scene.Scene.content_digest` and its per-scene
+artifacts — the stage-1 memoized ICA table per ``S`` and the
+shared-memory tree arena the worker pool reads — are created once and
+reused by all subsequent queries.  A table is demand-filled: creating
+it allocates its rows, and serial queries fill (and then reuse) only
+the rows they read.  Pooled queries read the arena; each worker fills
+its own table.
 
 Residency is bounded: an LRU policy caps the number of registered
-scenes, and evicting a scene destroys its shared-memory arenas (the
-only artifact that outlives the process's heap if leaked).  Tables can
-additionally warm-start from disk (``table_dir``) via
-:mod:`repro.ica.io`, so even the first query against a re-registered
-scene skips the stage-1 recompute.
+scenes, and evicting a scene destroys its shared-memory arena (the
+only artifact that outlives the process's heap if leaked).
 
 All methods are thread-safe; the HTTP front end calls them from
 concurrent request handlers.
@@ -23,12 +23,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from pathlib import Path
-
-import numpy as np
 
 from repro.cd.scene import Scene
-from repro.ica.io import load_ica_table, save_ica_table
 from repro.ica.table import IcaTable, build_ica_table
 from repro.obs.metrics import get_metrics
 
@@ -40,30 +36,28 @@ class UnknownSceneError(KeyError):
 
 
 class _Entry:
-    """One resident scene plus its per-(S) derived artifacts."""
+    """One resident scene plus its derived artifacts."""
 
-    __slots__ = ("scene", "tables", "arenas")
+    __slots__ = ("scene", "tables", "arena")
 
     def __init__(self, scene: Scene) -> None:
         self.scene = scene
         self.tables: dict[int, IcaTable] = {}  # effective S -> table
-        # arena key: effective S of the embedded table, or None (tree only)
-        self.arenas: dict[int | None, object] = {}
+        self.arena = None  # the tree's SharedScene, once a pooled query asks
 
-    def destroy_arenas(self) -> None:
-        for arena in self.arenas.values():
-            arena.destroy()
-        self.arenas.clear()
+    def destroy_arena(self) -> None:
+        if self.arena is not None:
+            self.arena.destroy()
+            self.arena = None
 
 
 class SceneRegistry:
     """Content-addressed LRU registry of scenes and their setup artifacts."""
 
-    def __init__(self, max_scenes: int = 8, table_dir=None) -> None:
+    def __init__(self, max_scenes: int = 8) -> None:
         if max_scenes < 1:
             raise ValueError(f"max_scenes must be >= 1, got {max_scenes}")
         self.max_scenes = int(max_scenes)
-        self.table_dir = Path(table_dir) if table_dir is not None else None
         self._entries: OrderedDict[str, _Entry] = OrderedDict()
         self._lock = threading.RLock()
 
@@ -83,7 +77,7 @@ class SceneRegistry:
             self._entries[digest] = _Entry(scene)
             while len(self._entries) > self.max_scenes:
                 _, stale = self._entries.popitem(last=False)
-                stale.destroy_arenas()
+                stale.destroy_arena()
                 get_metrics().counter("service.registry.evictions").inc()
             get_metrics().gauge("service.registry.scenes").set(len(self._entries))
         return digest
@@ -114,67 +108,33 @@ class SceneRegistry:
 
     # -- derived artifacts ------------------------------------------------
 
-    def _effective_levels(self, scene: Scene, memo_levels: int) -> int:
-        return int(min(memo_levels, scene.tree.depth + 1))
-
-    def _table_path(self, digest: str, levels: int) -> Path:
-        return self.table_dir / f"ica-{digest[:32]}-S{levels}.npz"
-
     def get_table(self, digest: str, memo_levels: int) -> IcaTable:
-        """The memoized ICA table for (scene, S) — built at most once.
+        """The memoized ICA table for (scene, S) — created at most once.
 
-        Resolution order: in-memory cache, then ``table_dir`` warm start
-        (validated against the scene's pivot before trust), then a fresh
-        :func:`~repro.ica.table.build_ica_table` (persisted to
-        ``table_dir`` when one is configured).
+        Creating a table is cheap (its rows fill on first read), and the
+        table is shared by every later query for the same (scene, S), so
+        rows one query filled are free for the next.
         """
         with self._lock:
             entry = self._entries.get(digest)
             if entry is None:
                 raise UnknownSceneError(digest)
             scene = entry.scene
-            levels = self._effective_levels(scene, memo_levels)
+            levels = int(min(memo_levels, scene.tree.depth + 1))
             table = entry.tables.get(levels)
-            if table is not None:
-                return table
-
-            if self.table_dir is not None:
-                path = self._table_path(digest, levels)
-                if path.exists():
-                    try:
-                        table = load_ica_table(path)
-                    except ValueError:
-                        table = None
-                    if table is not None and (
-                        not np.array_equal(table.pivot, scene.pivot)
-                        or table.levels != levels
-                    ):
-                        table = None  # stale or foreign file: rebuild
-                    if table is not None:
-                        entry.tables[levels] = table
-                        get_metrics().counter(
-                            "service.registry.table_warm_starts"
-                        ).inc()
-                        return table
-
-            table = build_ica_table(
-                scene.tree, scene.tool, scene.pivot, levels=levels
-            )
-            entry.tables[levels] = table
-            get_metrics().counter("service.registry.table_builds").inc()
-            if self.table_dir is not None:
-                self.table_dir.mkdir(parents=True, exist_ok=True)
-                save_ica_table(table, self._table_path(digest, levels))
+            if table is None:
+                table = entry.tables[levels] = build_ica_table(
+                    scene.tree, scene.tool, scene.pivot, levels=levels
+                )
+                get_metrics().counter("service.registry.table_builds").inc()
             return table
 
-    def get_arena(self, digest: str, memo_levels: int | None = None):
-        """A shared-memory arena for the scene's tree — created at most once.
+    def get_arena(self, digest: str):
+        """The shared-memory arena of the scene's tree — created at most once.
 
-        With ``memo_levels`` the arena also embeds the (cached) ICA table
-        for that S, ready for ``run_cd(..., shared=...)`` at any worker
-        count; ``None`` gives the tree-only arena path runs use.  The
-        registry owns the arena: it is destroyed on eviction or
-        :meth:`close`, never by the run that borrows it.
+        Ready for ``run_cd(..., shared=...)`` and path runs at any worker
+        count.  The registry owns the arena: it is destroyed on eviction
+        or :meth:`close`, never by the run that borrows it.
         """
         from repro.engine.pool import SharedScene
 
@@ -182,28 +142,20 @@ class SceneRegistry:
             entry = self._entries.get(digest)
             if entry is None:
                 raise UnknownSceneError(digest)
-            key = (
-                None
-                if memo_levels is None
-                else self._effective_levels(entry.scene, memo_levels)
-            )
-            arena = entry.arenas.get(key)
-            if arena is None:
-                table = None if key is None else self.get_table(digest, key)
-                arena = SharedScene.create(entry.scene.tree, table)
-                entry.arenas[key] = arena
+            if entry.arena is None:
+                entry.arena = SharedScene.create(entry.scene.tree)
                 get_metrics().counter("service.registry.arena_builds").inc()
-            return arena
+            return entry.arena
 
     # -- teardown ---------------------------------------------------------
 
     def evict(self, digest: str) -> bool:
-        """Drop one scene (destroying its arenas); False when absent."""
+        """Drop one scene (destroying its arena); False when absent."""
         with self._lock:
             entry = self._entries.pop(digest, None)
             if entry is None:
                 return False
-            entry.destroy_arenas()
+            entry.destroy_arena()
             get_metrics().counter("service.registry.evictions").inc()
             get_metrics().gauge("service.registry.scenes").set(len(self._entries))
             return True
@@ -212,5 +164,5 @@ class SceneRegistry:
         """Destroy every arena and forget every scene; idempotent."""
         with self._lock:
             for entry in self._entries.values():
-                entry.destroy_arenas()
+                entry.destroy_arena()
             self._entries.clear()

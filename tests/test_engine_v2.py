@@ -181,6 +181,25 @@ class TestEngineEquivalence:
             )
             _assert_identical(ref, chunked, f"{method} {engine} max_pairs=7")
 
+    @pytest.mark.parametrize("cells", [5, 100])
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_tiny_row_blocks_identical(self, sphere_scene, monkeypatch, method, cells):
+        # A few cells per row block: the product level's float temporaries
+        # run one or two rows at a time and must still equal v1.
+        import repro.cd.traversal as trav
+
+        ref = run_cd(
+            sphere_scene, GRID, method_by_name(method),
+            config=TraversalConfig(engine="v1"), workers=1,
+        )
+        monkeypatch.setattr(trav, "_ROW_BLOCK_CELLS", cells)
+        for engine in ENGINES:
+            got = run_cd(
+                sphere_scene, GRID, method_by_name(method),
+                config=TraversalConfig(engine=engine), workers=1,
+            )
+            _assert_identical(ref, got, f"{method} {engine} row block {cells}")
+
     def test_env_engine_respected_end_to_end(self, sphere_scene, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "v1")
         r1 = run_cd(sphere_scene, GRID, method_by_name("AICA"))

@@ -15,7 +15,6 @@ from repro.cd.traversal import TraversalConfig, run_cd
 from repro.engine.counters import ThreadCounters
 from repro.engine.pool import SharedScene, WorkerPool, resolve_workers
 from repro.geometry.orientation import OrientationGrid
-from repro.ica.table import build_ica_table
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.obs.trace import Tracer, use_tracer
 from repro.tool.tool import paper_tool
@@ -67,8 +66,7 @@ class TestSharedScene:
         tree = sphere_scene.tree
         shared = SharedScene.create(tree)
         try:
-            attached, table = SharedScene.attach(shared.manifest)
-            assert table is None
+            attached = SharedScene.attach(shared.manifest)
             assert attached.depth == tree.depth
             np.testing.assert_array_equal(attached.domain.lo, tree.domain.lo)
             for l in range(tree.depth + 1):
@@ -87,24 +85,10 @@ class TestSharedScene:
         finally:
             shared.destroy()
 
-    def test_table_roundtrip(self, sphere_scene):
-        tree = sphere_scene.tree
-        table = build_ica_table(tree, sphere_scene.tool, sphere_scene.pivot)
-        shared = SharedScene.create(tree, table)
-        try:
-            _, attached = SharedScene.attach(shared.manifest)
-            assert attached.levels == table.levels
-            assert attached.n_entries == table.n_entries
-            for l in range(len(table.cos1)):
-                np.testing.assert_array_equal(attached.cos1[l], table.cos1[l])
-                np.testing.assert_array_equal(attached.cos2[l], table.cos2[l])
-        finally:
-            shared.destroy()
-
     def test_attached_views_are_readonly(self, sphere_scene):
         shared = SharedScene.create(sphere_scene.tree)
         try:
-            attached, _ = SharedScene.attach(shared.manifest)
+            attached = SharedScene.attach(shared.manifest)
             with pytest.raises(ValueError):
                 attached.levels[0].codes[...] = 0
         finally:

@@ -113,35 +113,22 @@ class TestSceneRegistry:
             assert t3 is not t1 and t3.levels == 3
             reg.close()
 
-    def test_table_warm_start_from_disk(self, sphere_scene, tmp_path):
-        with use_metrics(MetricsRegistry()) as metrics:
-            reg = SceneRegistry(table_dir=tmp_path)
-            digest = reg.register(sphere_scene)
-            built = reg.get_table(digest, 8)
-            assert list(tmp_path.glob("ica-*.npz"))
-            reg.close()
-
-            # A fresh registry (fresh process, conceptually) warm-starts.
-            reg2 = SceneRegistry(table_dir=tmp_path)
-            reg2.register(sphere_scene)
-            warm = reg2.get_table(digest, 8)
-            assert metrics.counter("service.registry.table_warm_starts").value == 1
-            assert metrics.counter("service.registry.table_builds").value == 1
-            assert warm.levels == built.levels
-            for a, b in zip(warm.cos1, built.cos1):
-                assert np.array_equal(a, b)
-            for a, b in zip(warm.cos2, built.cos2):
-                assert np.array_equal(a, b)
-            reg2.close()
-
     def test_arena_built_once_and_embeds_table(self, sphere_scene):
-        reg = SceneRegistry()
-        digest = reg.register(sphere_scene)
-        a1 = reg.get_arena(digest, 8)
-        a2 = reg.get_arena(digest, 8)
-        assert a1 is a2
-        assert reg.get_arena(digest) is not a1  # tree-only arena is separate
-        reg.close()
+        # One tree arena per scene, shared by cd and path queries; the
+        # ICA table is not in it (each pool worker fills its own).
+        with use_metrics(MetricsRegistry()) as metrics:
+            reg = SceneRegistry()
+            digest = reg.register(sphere_scene)
+            a1 = reg.get_arena(digest)
+            assert reg.get_arena(digest) is a1
+            assert metrics.counter("service.registry.arena_builds").value == 1
+            keys = {spec["key"] for spec in a1.manifest["arrays"]}
+            assert keys == {
+                f"L{l}.{name}"
+                for l in range(sphere_scene.tree.depth + 1)
+                for name in ("codes", "status", "child_start", "child_count")
+            }
+            reg.close()
 
 
 # ---------------------------------------------------------------------------
